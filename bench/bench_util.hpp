@@ -1,11 +1,6 @@
-// Shared helpers for the figure-regeneration benches.
-//
-// Every bench binary prints its paper table(s) first (the reproduction
-// artifact), then runs its google-benchmark timings (the performance
-// artifact). Run all of them with:  for b in build/bench/*; do $b; done
+// Shared helpers for the gated performance harnesses (sweep_speed,
+// search_speed, trace_ingest, serve_speed).
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <fstream>
@@ -22,8 +17,7 @@ namespace memx::bench {
 
 /// Explorer options matching the paper's main experimental setup
 /// (Em = 4.95 nJ Cypress part, Section-4.1 layout applied).
-inline ExploreOptions paperOptions(double emNj = 4.95,
-                                   bool optimizeLayout = true) {
+inline ExploreOptions paperOptions() {
   ExploreOptions o;
   o.ranges.minCacheBytes = 16;
   o.ranges.maxCacheBytes = 1024;
@@ -31,19 +25,9 @@ inline ExploreOptions paperOptions(double emNj = 4.95,
   o.ranges.maxLineBytes = 64;
   o.ranges.maxAssociativity = 8;
   o.ranges.maxTiling = 16;
-  o.energy.emNj = emNj;
-  o.optimizeLayout = optimizeLayout;
+  o.energy.emNj = 4.95;
+  o.optimizeLayout = true;
   return o;
-}
-
-/// Direct-mapped cache configuration shorthand.
-inline CacheConfig dm(std::uint32_t size, std::uint32_t line,
-                      std::uint32_t ways = 1) {
-  CacheConfig c;
-  c.sizeBytes = size;
-  c.lineBytes = line;
-  c.associativity = ways;
-  return c;
 }
 
 /// Print a titled section.
@@ -66,16 +50,5 @@ inline void emitRunReport(const memx::obs::RunReport& report,
   std::cout << "trace-event timeline written to " << tracePath
             << " (load via chrome://tracing or ui.perfetto.dev)\n";
 }
-
-/// Standard bench main: print the figure, then run the timings.
-#define MEMX_BENCH_MAIN(printFigure)                       \
-  int main(int argc, char** argv) {                        \
-    printFigure();                                         \
-    ::benchmark::Initialize(&argc, argv);                  \
-    if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1; \
-    ::benchmark::RunSpecifiedBenchmarks();                 \
-    ::benchmark::Shutdown();                               \
-    return 0;                                              \
-  }
 
 }  // namespace memx::bench

@@ -151,11 +151,11 @@ Args parseArgs(int argc, char** argv) {
     } else if (arg == "--seed") {
       args.searchOptions.seed = parseFlagUnsigned(arg, value(), kU64);
     } else if (arg == "--pop") {
-      args.searchOptions.populationSize =
-          static_cast<std::uint32_t>(parseFlagUnsigned(arg, value(), kU32));
+      args.searchOptions.populationSize = static_cast<std::uint32_t>(
+          parseFlagUnsigned(arg, value(), search::kMaxPopulationSize));
     } else if (arg == "--gens") {
-      args.searchOptions.generations =
-          static_cast<std::uint32_t>(parseFlagUnsigned(arg, value(), kU32));
+      args.searchOptions.generations = static_cast<std::uint32_t>(
+          parseFlagUnsigned(arg, value(), search::kMaxGenerations));
     } else if (arg == "--budget") {
       args.searchOptions.maxEvaluations =
           parseFlagUnsigned(arg, value(), kU64);

@@ -1,30 +1,1274 @@
-// reproduce_paper — regenerate every exploration the paper's figures are
-// built from and archive them as CSV files (one per workload), plus a
-// JSON dump of the MPEG composite, into an output directory.
+// reproduce_paper — the one reproduction driver. A registry of entries
+// regenerates the paper's results (Figures 1-10, the Section-3 analysis
+// and the Section-5 MPEG table), the ablations and extensions around
+// them as text tables, and a CSV archive of every exploration the
+// figures are built from (one CSV per workload plus a JSON dump of the
+// MPEG composite).
 //
-// Usage: reproduce_paper [output-dir]   (default: ./paper_results)
+// Usage: reproduce_paper [out-dir] [id...]
+//   With no ids, every table runs, then the CSV archive is written to
+//   out-dir (default: ./paper_results). With ids, only those entries
+//   run, in registry order; the id `csv` is the archive. An unknown id
+//   lists the registry and exits 1.
+#include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iomanip>
 #include <iostream>
+#include <optional>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "memx/cachesim/bus_monitor.hpp"
+#include "memx/cachesim/cache_sim.hpp"
+#include "memx/cachesim/hierarchy.hpp"
+#include "memx/cachesim/miss_classifier.hpp"
+#include "memx/cachesim/prefetch.hpp"
+#include "memx/cachesim/set_sampling.hpp"
+#include "memx/cachesim/victim_cache.hpp"
+#include "memx/cachesim/write_buffer.hpp"
+#include "memx/core/analytic_model.hpp"
+#include "memx/core/hierarchy_explorer.hpp"
 #include "memx/core/selection.hpp"
+#include "memx/core/sensitivity.hpp"
+#include "memx/core/trace_explorer.hpp"
+#include "memx/energy/dram_model.hpp"
+#include "memx/energy/sram_catalog.hpp"
+#include "memx/icache/ifetch_model.hpp"
 #include "memx/kernels/benchmarks.hpp"
+#include "memx/kernels/mpeg_kernels.hpp"
+#include "memx/layout/offchip_assign.hpp"
+#include "memx/loopir/ref_classes.hpp"
+#include "memx/loopir/trace_gen.hpp"
+#include "memx/mpeg/chained.hpp"
 #include "memx/mpeg/composite.hpp"
 #include "memx/report/result_io.hpp"
+#include "memx/report/table.hpp"
+#include "memx/spm/spm_explorer.hpp"
+#include "memx/trace/working_set.hpp"
+#include "memx/xform/dependence.hpp"
+#include "memx/xform/fusion.hpp"
+#include "memx/xform/tiling.hpp"
 
-int main(int argc, char** argv) {
-  using namespace memx;
-  namespace fs = std::filesystem;
+namespace {
 
-  const fs::path outDir = argc > 1 ? argv[1] : "paper_results";
+using namespace memx;
+namespace fs = std::filesystem;
+
+// --- Shared setup -------------------------------------------------------
+
+/// Explorer options of the paper's main setup. The ExploreOptions
+/// defaults are its sweep (C 16..1024, L 4..64, S <= 8, B <= 16) with
+/// the Section-4.1 layout applied; `emNj` picks the main-memory part
+/// (default the 4.95 nJ Cypress SRAM).
+ExploreOptions paperOptions(double emNj = kEmCypress2MbitNj) {
+  ExploreOptions o;
+  o.energy.emNj = emNj;
+  return o;
+}
+
+/// The paper options with a direct-mapped, untiled sweep up to 512 B:
+/// the Compress sweep behind Fig 4 and the selection ablations.
+ExploreOptions compressSweep() {
+  ExploreOptions o = paperOptions();
+  o.ranges.maxCacheBytes = 512;
+  o.ranges.sweepAssociativity = false;
+  o.ranges.sweepTiling = false;
+  return o;
+}
+
+/// The Section-5 MPEG sweep (Fig 10, the Section-5 table, the archive).
+ExploreOptions mpegOptions() {
+  ExploreOptions o = paperOptions();
+  o.ranges.maxCacheBytes = 512;
+  o.ranges.maxLineBytes = 16;
+  return o;
+}
+
+/// Cache configuration shorthand (direct-mapped unless `ways` is given).
+CacheConfig dm(std::uint32_t size, std::uint32_t line,
+               std::uint32_t ways = 1) {
+  CacheConfig c;
+  c.sizeBytes = size;
+  c.lineBytes = line;
+  c.associativity = ways;
+  return c;
+}
+
+/// Print a titled section.
+void section(const std::string& title) {
+  std::cout << "\n=== " << title << " ===\n";
+}
+
+/// State shared by the entries of one invocation.
+class Run {
+public:
+  explicit Run(fs::path outDir) : outDir_(std::move(outDir)) {}
+
+  [[nodiscard]] const fs::path& outDir() const { return outDir_; }
+
+  /// The Section-5 MPEG composite, explored on first use and shared:
+  /// Fig 10 reads its per-kernel results, the Section-5 table and the
+  /// archive its trip-weighted combination.
+  const CompositeProgram::Result& mpeg() {
+    if (!mpeg_) mpeg_ = mpegDecoder().explore(Explorer(mpegOptions()));
+    return *mpeg_;
+  }
+
+private:
+  fs::path outDir_;
+  std::optional<CompositeProgram::Result> mpeg_;
+};
+
+// --- Shared printers ----------------------------------------------------
+
+/// The Compress (C, L) grid of Figs 1, 3 and 4: a row per cache size, a
+/// column per line size, "-" where fewer than 4 lines would fit (the
+/// paper keeps >= 4 cache lines).
+void printCompressGrid(const Explorer& ex,
+                       std::initializer_list<std::uint32_t> sizes,
+                       double DesignPoint::*metric) {
+  const Kernel k = compressKernel();
+  Table t({"cache", "L4", "L8", "L16", "L32", "L64"});
+  for (const std::uint32_t size : sizes) {
+    std::vector<std::string> row{"C" + std::to_string(size)};
+    for (const std::uint32_t line : {4u, 8u, 16u, 32u, 64u}) {
+      row.push_back(line > size / 4
+                        ? "-"
+                        : fmtSig3(ex.evaluate(k, dm(size, line)).*metric));
+    }
+    t.addRow(std::move(row));
+  }
+  std::cout << t;
+}
+
+/// The three metrics Figs 6, 8 and 9 tabulate, with their cell formats.
+struct Metric {
+  const char* name;
+  std::string (*format)(const DesignPoint&);
+};
+constexpr Metric kMetrics[] = {
+    {"miss rate", [](const DesignPoint& p) { return fmtFixed(p.missRate, 3); }},
+    {"cycles", [](const DesignPoint& p) { return fmtSig3(p.cycles); }},
+    {"energy (nJ)", [](const DesignPoint& p) { return fmtSig3(p.energyNj); }},
+};
+
+/// Figs 6, 8 and 9: one table per metric, named by it, with a row per
+/// kernel and a column per parameter value (`columns` names them after
+/// "kernel"). `eval` returns the points of one (kernel, column) cell,
+/// evaluated once for all three tables; a second point prints in
+/// parentheses.
+std::vector<std::pair<std::string, Table>> metricTables(
+    const std::vector<Kernel>& kernels, std::vector<std::string> columns,
+    const std::function<std::vector<DesignPoint>(const Kernel&, std::size_t)>&
+        eval) {
+  std::vector<std::vector<std::vector<DesignPoint>>> cells;
+  for (const Kernel& k : kernels) {
+    cells.emplace_back();
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      cells.back().push_back(eval(k, c));
+    }
+  }
+  columns.insert(columns.begin(), "kernel");
+  std::vector<std::pair<std::string, Table>> tables;
+  for (const Metric& m : kMetrics) {
+    Table t(columns);
+    for (std::size_t i = 0; i < kernels.size(); ++i) {
+      std::vector<std::string> row{kernels[i].name};
+      for (const std::vector<DesignPoint>& cell : cells[i]) {
+        std::string text = m.format(cell[0]);
+        if (cell.size() > 1) text += " (" + m.format(cell[1]) + ")";
+        row.push_back(std::move(text));
+      }
+      t.addRow(std::move(row));
+    }
+    tables.emplace_back(m.name, std::move(t));
+  }
+  return tables;
+}
+
+// --- Figures 1-10 and Sections 3 and 5 ----------------------------------
+
+// Figure 1: Compress energy over (C, L) at the two main-memory energy
+// extremes. Paper shape: with expensive main memory, energy falls as
+// the cache grows; with cheap main memory, it rises.
+void fig01(Run&) {
+  section("Figure 1a: Compress energy (nJ), Em = 43.56 nJ (16 Mbit SRAM)");
+  const Explorer hi(paperOptions(kEmHigh16MbitNj));
+  printCompressGrid(hi, {16, 32, 64, 128, 256, 512}, &DesignPoint::energyNj);
+  section("Figure 1b: Compress energy (nJ), Em = 2.31 nJ (2 Mbit SRAM)");
+  const Explorer lo(paperOptions(kEmLow2MbitNj));
+  printCompressGrid(lo, {16, 32, 64, 128, 256, 512}, &DesignPoint::energyNj);
+
+  // The headline crossover, stated explicitly.
+  const Kernel k = compressKernel();
+  const double hiSmall = hi.evaluate(k, dm(16, 4)).energyNj;
+  const double hiLarge = hi.evaluate(k, dm(512, 4)).energyNj;
+  const double loSmall = lo.evaluate(k, dm(16, 4)).energyNj;
+  const double loLarge = lo.evaluate(k, dm(512, 4)).energyNj;
+  std::cout << "\nEm = 43.56: C16L4 " << fmtSig3(hiSmall) << " -> C512L4 "
+            << fmtSig3(hiLarge)
+            << (hiLarge < hiSmall ? "  (energy falls with cache size)"
+                                  : "  (!! expected fall)")
+            << "\nEm =  2.31: C16L4 " << fmtSig3(loSmall) << " -> C512L4 "
+            << fmtSig3(loLarge)
+            << (loLarge > loSmall ? "  (energy rises with cache size)"
+                                  : "  (!! expected rise)")
+            << '\n';
+}
+
+// Figure 2: miss rate, cycles and energy along the paper's diagonal
+// C16L4, C32L8, C64L16, C128L32 for all five benchmarks.
+void fig02(Run&) {
+  const Explorer ex(paperOptions());
+  const std::vector<Kernel> kernels = paperBenchmarks();
+  const std::vector<std::string> header{"config",     "Compress", "Mat.Multi.",
+                                        "PDE",        "SOR",      "Dequant"};
+
+  section("Figure 2: miss rate vs (C, L), Em = 4.95 nJ");
+  Table miss(header);
+  Table cycles(header);
+  Table energy(header);
+  for (const auto& [size, line] :
+       {std::pair{16u, 4u}, std::pair{32u, 8u}, std::pair{64u, 16u},
+        std::pair{128u, 32u}}) {
+    const std::string label =
+        "C" + std::to_string(size) + "L" + std::to_string(line);
+    std::vector<std::string> mrow{label}, crow{label}, erow{label};
+    for (const Kernel& k : kernels) {
+      const DesignPoint p = ex.evaluate(k, dm(size, line));
+      mrow.push_back(fmtFixed(p.missRate, 3));
+      crow.push_back(fmtSig3(p.cycles));
+      erow.push_back(fmtSig3(p.energyNj));
+    }
+    miss.addRow(std::move(mrow));
+    cycles.addRow(std::move(crow));
+    energy.addRow(std::move(erow));
+  }
+  std::cout << miss;
+  section("Figure 2: number of cycles vs (C, L)");
+  std::cout << cycles;
+  section("Figure 2: energy (nJ) vs (C, L)");
+  std::cout << energy;
+}
+
+// Figure 3: Compress cycles over (C, L), keeping at least 4 lines.
+void fig03(Run&) {
+  section("Figure 3: Compress cycles vs (C, L), >= 4 cache lines");
+  printCompressGrid(Explorer(paperOptions()), {32, 64, 128, 256, 512},
+                    &DesignPoint::cycles);
+  std::cout << "\nCycles fall monotonically toward large caches with "
+               "large lines;\nthe minimum-time configuration sits at the "
+               "bottom-right of the grid.\n";
+}
+
+// Figure 4: Compress energy over (C, L), plus the paper's selections:
+// minimum energy, minimum time, and the choices under a cycle bound and
+// an energy bound.
+void fig04(Run&) {
+  section("Figure 4: Compress energy (nJ) vs (C, L), Em = 4.95 nJ");
+  const ExploreOptions o = compressSweep();
+  const Explorer ex(o);
+  const Kernel k = compressKernel();
+  printCompressGrid(ex, {16, 32, 64, 128, 256, 512}, &DesignPoint::energyNj);
+
+  const ExplorationResult r = ex.explore(k);
+  const auto minE = minEnergyPoint(r.points);
+  const auto minC = minCyclePoint(r.points);
+  std::cout << "\nminimum-energy configuration: " << minE->label() << " ("
+            << fmtSig3(minE->energyNj) << " nJ, " << fmtSig3(minE->cycles)
+            << " cycles)\n";
+  std::cout << "minimum-time configuration:   " << minC->label() << " ("
+            << fmtSig3(minC->cycles) << " cycles, "
+            << fmtSig3(minC->energyNj) << " nJ)\n";
+
+  // The paper's walkthrough: a cycle bound forces a compromise.
+  const double cycleBound = 1.6 * minC->cycles;
+  const auto underCycles = minEnergyPoint(r.points, cycleBound);
+  std::cout << "min-energy with cycles <= " << fmtSig3(cycleBound) << ": "
+            << underCycles->label() << '\n';
+  const double energyBound = 1.5 * minE->energyNj;
+  const auto underEnergy = minCyclePoint(r.points, energyBound);
+  std::cout << "min-time with energy (nJ) <= " << fmtSig3(energyBound)
+            << ": " << underEnergy->label() << '\n';
+
+  // The paper reports C16L4 as the minimum-energy configuration. Its
+  // Em * line_size term charges one SRAM access per *byte*; the Cypress
+  // part is 16 bits wide, so the physically-consistent reading charges
+  // one access per two bytes. Under that reading the selection matches
+  // the paper exactly:
+  ExploreOptions o16 = o;
+  o16.energy.mainBytesPerAccess = 2;
+  const auto minE16 = minEnergyPoint(Explorer(o16).explore(k).points);
+  std::cout << "\nwith a 16-bit main-memory part (Em per 2 bytes): "
+               "min-energy = "
+            << minE16->label() << " (" << fmtSig3(minE16->energyNj)
+            << " nJ)"
+            << (minE16->key.cacheBytes == 16
+                    ? "  <- the paper's C16L4 corner\n"
+                    : "\n");
+}
+
+// Figure 5: Compress miss rate with optimized vs unoptimized off-chip
+// assignment. The word-array view (4-byte elements, 128-byte rows) makes
+// the unoptimized placement alias consecutive rows in all three caches,
+// which is what produces the paper's ~0.97 unoptimized miss rates.
+void fig05(Run&) {
+  section("Figure 5: Compress miss rate, optimized vs unoptimized layout");
+  const Kernel k = compressKernel(32, 4);
+  Table t({"config", "unoptimized", "optimized", "improvement",
+           "conflicts removed"});
+  for (const auto& [size, line] :
+       {std::pair{32u, 4u}, std::pair{64u, 8u}, std::pair{128u, 16u}}) {
+    const CacheConfig cache = dm(size, line);
+    const MissBreakdown unopt =
+        classifyMisses(cache, generateTrace(k, sequentialLayout(k)));
+    const AssignmentPlan plan = assignConflictFree(k, cache);
+    const MissBreakdown opt =
+        classifyMisses(cache, generateTrace(k, plan.layout));
+    t.addRow({cache.label(), fmtFixed(unopt.missRate(), 3),
+              fmtFixed(opt.missRate(), 3),
+              fmtFixed(unopt.missRate() / std::max(opt.missRate(), 1e-9),
+                       1) +
+                  "x",
+              std::to_string(unopt.conflict - opt.conflict)});
+  }
+  std::cout << t;
+  std::cout << "\nAs in the paper, the off-chip assignment removes the "
+               "conflict misses\nand is the single largest performance "
+               "lever in the study.\n";
+}
+
+// Figure 6: metrics vs tiling size at C64L8 for the five benchmarks plus
+// the transpose kernel that motivates tiling (Example 3).
+void fig06(Run&) {
+  const Explorer ex(paperOptions());
+  std::vector<Kernel> kernels = paperBenchmarks();
+  kernels.push_back(transposeKernel(32));
+  constexpr std::uint32_t kTiles[] = {1, 2, 4, 8, 16};
+  for (const auto& [metric, t] :
+       metricTables(kernels, {"B1", "B2", "B4", "B8", "B16"},
+                    [&](const Kernel& k, std::size_t c) {
+                      return std::vector{
+                          ex.evaluate(k, dm(64, 8), kTiles[c])};
+                    })) {
+    section("Figure 6: " + metric + " vs tiling size, C64L8");
+    std::cout << t;
+  }
+  std::cout << "\nReuse-rich kernels (compress, sor, transpose) improve "
+               "with small tiles\nand degrade once the tile working set "
+               "exceeds the 8 cache lines;\npure streaming kernels "
+               "(dequant) gain nothing, as expected.\n";
+}
+
+// Figure 7: Compress and Dequant energy vs tiling size and vs set
+// associativity, both at C64L8.
+void fig07(Run&) {
+  const Explorer ex(paperOptions());
+  const std::vector<Kernel> kernels = {compressKernel(), dequantKernel()};
+
+  section("Figure 7a: energy (nJ) vs tiling size, C64L8");
+  Table tiling({"kernel", "T1", "T2", "T4", "T8", "T16"});
+  for (const Kernel& k : kernels) {
+    std::vector<std::string> row{k.name};
+    for (const std::uint32_t b : {1u, 2u, 4u, 8u, 16u}) {
+      row.push_back(fmtSig3(ex.evaluate(k, dm(64, 8), b).energyNj));
+    }
+    tiling.addRow(std::move(row));
+  }
+  std::cout << tiling;
+
+  section("Figure 7b: energy (nJ) vs set associativity, C64L8");
+  Table assoc({"kernel", "SA1", "SA2", "SA4", "SA8"});
+  for (const Kernel& k : kernels) {
+    std::vector<std::string> row{k.name};
+    for (const std::uint32_t s : {1u, 2u, 4u, 8u}) {
+      row.push_back(fmtSig3(ex.evaluate(k, dm(64, 8, s)).energyNj));
+    }
+    assoc.addRow(std::move(row));
+  }
+  std::cout << assoc;
+}
+
+// Figure 8: metrics vs set associativity at C64L8, tiling 1, plus the
+// Section-4.3 counterpoint that at C1024L32 the benefit disappears.
+void fig08(Run&) {
+  const Explorer ex(paperOptions());
+  const auto printGrid = [&](std::uint32_t size, std::uint32_t line) {
+    constexpr std::uint32_t kWays[] = {1, 2, 4, 8};
+    for (const auto& [metric, t] :
+         metricTables(paperBenchmarks(), {"SA1", "SA2", "SA4", "SA8"},
+                      [&](const Kernel& k, std::size_t c) {
+                        return std::vector{
+                            ex.evaluate(k, dm(size, line, kWays[c]))};
+                      })) {
+      std::cout << metric << ":\n" << t << '\n';
+    }
+  };
+  section("Figure 8: metrics vs set associativity, C64L8, tiling 1");
+  printGrid(64, 8);
+  section(
+      "Section 4.3 counterpoint: C1024L32 — cycles/energy no longer "
+      "necessarily improve");
+  printGrid(1024, 32);
+}
+
+// Figure 9: metrics vs combined (set associativity, tiling size) at
+// C64L8; the values in parentheses are the unoptimized (tight off-chip
+// layout) results. The word-array view (4-byte elements) makes the
+// unoptimized rows alias exactly as in the paper (its ~0.97
+// parenthesized miss rates).
+void fig09(Run&) {
+  section("Figure 9: metrics vs (SA, TS) at C64L8; parentheses = "
+          "unoptimized layout");
+  const Explorer opt(paperOptions());
+  ExploreOptions uo = paperOptions();
+  uo.optimizeLayout = false;
+  const Explorer unopt(uo);
+
+  constexpr std::pair<std::uint32_t, std::uint32_t> kCombos[] = {
+      {1, 1}, {2, 4}, {8, 8}};  // (SA, TS)
+  for (const auto& [metric, t] : metricTables(
+           {compressKernel(32, 4), matMulKernel(32, 4), pdeKernel(33, 4),
+            sorKernel(33, 4), dequantKernel(32, 4)},
+           {"SA1 TS1", "SA2 TS4", "SA8 TS8"},
+           [&](const Kernel& k, std::size_t c) {
+             const auto [sa, ts] = kCombos[c];
+             return std::vector{opt.evaluate(k, dm(64, 8, sa), ts),
+                                unopt.evaluate(k, dm(64, 8, sa), ts)};
+           })) {
+    std::cout << metric << ":\n" << t << '\n';
+  }
+  std::cout << "The unoptimized miss rates are so large that tiling and "
+               "set associativity\nbarely move them — the paper's central "
+               "observation about Figure 9.\n";
+}
+
+// Figure 10: the minimum-energy configuration (cache size, line size,
+// set associativity, tiling size) of each MPEG decoder kernel.
+void fig10(Run& run) {
+  section("Figure 10: minimum-energy cache configuration per MPEG kernel");
+  Table t({"kernel", "cache size", "line size", "set assoc.",
+           "tiling size", "energy (nJ)", "miss rate"});
+  for (const ExplorationResult& r : run.mpeg().perKernel) {
+    const auto best = minEnergyPoint(r.points);
+    t.addRow({r.workload, std::to_string(best->key.cacheBytes),
+              std::to_string(best->key.lineBytes),
+              std::to_string(best->key.associativity),
+              std::to_string(best->key.tiling), fmtSig3(best->energyNj),
+              fmtFixed(best->missRate, 3)});
+  }
+  std::cout << t;
+  std::cout << "\nAs in the paper, different kernels prefer different "
+               "corners of the\ndesign space (streaming kernels want tiny "
+               "caches; table-reuse kernels\nwant to fit their tables).\n";
+}
+
+// Section 3: the analytical minimum cache size. For each kernel and line
+// size, the number of cache lines needed to avoid intra-class conflicts
+// (Compress: 2 classes x 2 lines = 4 lines, minimum cache = 4L).
+void sec3(Run&) {
+  section("Section 3: reference classes and minimum cache size");
+  std::vector<Kernel> kernels = paperBenchmarks();
+  kernels.push_back(transposeKernel(32));
+  kernels.push_back(mpegVldKernel());
+
+  Table t({"kernel", "classes", "cases", "indirect", "min lines (L=4)",
+           "min size (L=4)", "min lines (L=16)", "min size (L=16)"});
+  for (const Kernel& k : kernels) {
+    const RefAnalysis a = analyzeReferences(k);
+    t.addRow({k.name, std::to_string(a.groups.size()),
+              std::to_string(a.cases.size()),
+              std::to_string(a.indirectAccesses.size()),
+              std::to_string(minCacheLines(k, 4)),
+              std::to_string(minCacheSizeBytes(k, 4)),
+              std::to_string(minCacheLines(k, 16)),
+              std::to_string(minCacheSizeBytes(k, 16))});
+  }
+  std::cout << t;
+  std::cout << "\nCompress: 2 classes, 2 lines each => minimum cache "
+               "size 4L, exactly as\nthe paper derives in Section 3.\n";
+}
+
+// Section 5: whole-program MPEG decoder exploration. The paper's
+// headline: the minimum-energy configuration (C64, L4, 8-way, T16) and
+// the minimum-cycles configuration (C512, L16, 8-way, T8) differ, and
+// both differ from the per-kernel optima (asserted by
+// Composite.MpegOptimaExistAndDiffer).
+void sec5(Run& run) {
+  section("Section 5: MPEG decoder whole-program exploration");
+  const CompositeProgram::Result& r = run.mpeg();
+  const auto minE = minEnergyPoint(r.combined.points);
+  const auto minC = minCyclePoint(r.combined.points);
+
+  Table t({"objective", "config", "energy (nJ)", "cycles", "miss rate"});
+  t.addRow({"minimum energy", minE->label(), fmtSig3(minE->energyNj),
+            fmtSig3(minE->cycles), fmtFixed(minE->missRate, 3)});
+  t.addRow({"minimum cycles", minC->label(), fmtSig3(minC->energyNj),
+            fmtSig3(minC->cycles), fmtFixed(minC->missRate, 3)});
+  std::cout << t;
+
+  std::cout << "\npaper reference: min-energy C64 L4 SA8 T16 "
+               "(293,000 nJ; 142,000 cycles)\n"
+               "                 min-cycles C512 L16 SA8 T8 "
+               "(1,110,000 nJ; 121,000 cycles)\n";
+  std::cout << (minE->key != minC->key
+                    ? "\nReproduced: the two objectives select different "
+                      "configurations.\n"
+                    : "\n!! expected the objectives to differ\n");
+
+  const bool anyMatchesComposite = std::any_of(
+      r.perKernel.begin(), r.perKernel.end(),
+      [&](const ExplorationResult& k) {
+        return minEnergyPoint(k.points)->key == minE->key;
+      });
+  std::cout << (anyMatchesComposite
+                    ? "note: one kernel's optimum coincides with the "
+                      "composite optimum in this run\n"
+                    : "Reproduced: no per-kernel optimum equals the "
+                      "whole-program optimum.\n");
+}
+
+// --- Ablations ----------------------------------------------------------
+
+// Gray-coded vs binary address buses. The paper assumes Gray coding when
+// counting address-bus switching (its E_dec and E_io terms); this
+// measures how much that assumption matters on the real traces.
+void ablationAddrEncoding(Run&) {
+  section("Ablation: address-bus switching, Gray vs binary encoding");
+  Table t({"kernel", "Gray (switches/access)", "binary (switches/access)",
+           "ratio", "energy w/ Gray (nJ)", "energy w/ binary (nJ)"});
+  for (const Kernel& k : paperBenchmarks()) {
+    const Trace trace = generateTrace(k);
+    const double gray = measureAddrActivity(trace, AddressEncoding::Gray);
+    const double bin = measureAddrActivity(trace, AddressEncoding::Binary);
+
+    // Energy under each activity figure at a representative point.
+    const CacheConfig cache = dm(64, 8);
+    const CacheEnergyModel mGray(cache, EnergyParams{}, gray);
+    const CacheEnergyModel mBin(cache, EnergyParams{}, bin);
+    const double mr = 0.1;
+    t.addRow({k.name, fmtFixed(gray, 3), fmtFixed(bin, 3),
+              fmtFixed(bin / std::max(gray, 1e-9), 2),
+              fmtSig3(mGray.totalNj(k.referenceCount(), mr)),
+              fmtSig3(mBin.totalNj(k.referenceCount(), mr))});
+  }
+  std::cout << t;
+  std::cout << "\nGray coding reduces switching on the stride-dominated "
+               "kernels; the total\nenergy impact is small because E_dec "
+               "is a minor term (alpha = 0.001).\n";
+}
+
+// The paper's closed-form miss-rate expressions vs the trace-driven
+// simulator. The authors chose analytical expressions over porting to
+// Dinero; this quantifies what that choice costs in accuracy.
+void ablationAnalyticVsSim(Run&) {
+  section("Ablation: analytic miss-rate model vs trace-driven simulation");
+  Table t({"kernel", "config", "analytic", "simulated", "abs error"});
+  for (const Kernel& k : paperBenchmarks()) {
+    for (const auto& [size, line] :
+         {std::pair{64u, 8u}, std::pair{256u, 16u}}) {
+      const CacheConfig cache = dm(size, line);
+      const AssignmentPlan plan = assignConflictFree(k, cache);
+      const double sim =
+          simulateTrace(cache, generateTrace(k, plan.layout)).missRate();
+      const double analytic = analyticMissRate(k, cache, plan.complete);
+      t.addRow({k.name, cache.label(), fmtFixed(analytic, 4),
+                fmtFixed(sim, 4), fmtFixed(std::abs(analytic - sim), 4)});
+    }
+  }
+  std::cout << t;
+  std::cout << "\nThe closed form tracks the simulator on streaming "
+               "kernels and drifts on\nkernels with cross-iteration "
+               "temporal reuse the expressions do not see\n(the paper's "
+               "matmul), motivating the simulator this library adds.\n";
+}
+
+// The paper's flat per-access Em vs a row-buffer memory. A page-mode
+// part charges rowHit or rowMiss depending on locality in the miss
+// stream, which the cache configuration itself shapes: bigger lines make
+// the miss stream more sequential. The equivalent-Em column shows what
+// constant the paper's model would need per configuration to match.
+void ablationDram(Run&) {
+  section("Ablation: row-buffer memory vs flat Em (miss streams of the "
+          "five kernels)");
+  Table t({"kernel", "cache", "row-hit rate", "memory energy (nJ)",
+           "equivalent Em (nJ)"});
+  for (const Kernel& k : paperBenchmarks()) {
+    for (const auto& [size, line] :
+         {std::pair{64u, 8u}, std::pair{64u, 32u}}) {
+      const DramStats s =
+          replayMissStream(dm(size, line), generateTrace(k));
+      const double equivalentEm =
+          s.energyNj / std::max<double>(static_cast<double>(s.accesses),
+                                        1.0);
+      t.addRow({k.name, dm(size, line).label(),
+                fmtFixed(s.rowHitRate(), 3), fmtSig3(s.energyNj),
+                fmtFixed(equivalentEm, 2)});
+    }
+  }
+  std::cout << t;
+  std::cout << "\nLarger lines raise the row-hit rate of the miss stream "
+               "and so LOWER the\nper-access memory energy — a coupling "
+               "the paper's constant Em cannot\nexpress; with page-mode "
+               "parts the Em * L penalty for long lines is\noverstated.\n";
+}
+
+// Loop interchange vs tiling on the transpose kernel. The paper's
+// Example 3 argues that interchange cannot fix a[i][j] = b[j][i] —
+// whichever loop is innermost, one array is stride-n — while tiling
+// fixes both; this verifies that argument by simulation.
+void ablationInterchange(Run&) {
+  section("Ablation: interchange vs tiling on transpose (Example 3)");
+  const Kernel original = transposeKernel(32);
+  const Explorer ex(paperOptions());
+  const CacheConfig cache = dm(128, 8);
+
+  Table t({"variant", "miss rate", "cycles", "energy (nJ)"});
+  const auto addRow = [&](const std::string& variant, const DesignPoint& p) {
+    t.addRow({variant, fmtFixed(p.missRate, 3), fmtSig3(p.cycles),
+              fmtSig3(p.energyNj)});
+  };
+  addRow("original (i, j)", ex.evaluate(original, cache, 1));
+  // Interchange produces a structurally different kernel; evaluate it
+  // through the same pipeline.
+  addRow("interchanged (j, i)",
+         ex.evaluate(interchange(original, 0, 1), cache, 1));
+  for (const std::uint32_t b : {2u, 4u}) {
+    addRow("tiled B=" + std::to_string(b), ex.evaluate(original, cache, b));
+  }
+  std::cout << t;
+  std::cout << "\nInterchange merely swaps which array streams "
+               "(miss rates comparable);\ntiling is the transform that "
+               "actually removes misses — the paper's\nExample 3 "
+               "argument, verified by simulation.\n";
+}
+
+// Static (leakage) energy — the term the journal follow-up (Shiue &
+// Chakrabarti 2001) adds to this paper's purely dynamic model. Leakage
+// charges every cache byte for every cycle of runtime, so it penalizes
+// both big caches AND slow configurations; the min-energy selection
+// migrates as the coefficient grows (deep-submicron CMOS).
+void ablationLeakage(Run&) {
+  section("Ablation: leakage coefficient vs the selected configuration "
+          "(Compress)");
+  Table t({"leakage (pJ/byte/cycle)", "min-energy config", "energy (nJ)",
+           "C512L4 energy (nJ)"});
+  const Kernel k = compressKernel();
+  for (const double leak : {0.0, 1.0, 10.0, 100.0}) {
+    ExploreOptions o = compressSweep();
+    o.energy.leakagePjPerBytePerCycle = leak;
+    const ExplorationResult r = Explorer(o).explore(k);
+    const auto minE = minEnergyPoint(r.points);
+    t.addRow({fmtFixed(leak, 1), minE->label(), fmtSig3(minE->energyNj),
+              fmtSig3(r.at(ConfigKey{512, 4, 1, 1}).energyNj)});
+  }
+  std::cout << t;
+  std::cout << "\nAt 0 the paper's dynamic-only selection holds; as "
+               "leakage grows, large\ncaches pay rent for idle capacity "
+               "and the optimum shifts toward smaller,\nfaster "
+               "configurations.\n";
+}
+
+// True LRU vs tree pseudo-LRU vs FIFO vs random. The paper's
+// associativity study implicitly assumes LRU; embedded hardware ships
+// tree-PLRU. This bounds what that substitution costs, and the 4-way
+// table shows how much of the Section-4.3 associativity benefit depends
+// on LRU.
+void ablationPlru(Run&) {
+  section("Ablation: replacement policy at 4-way and 8-way C128L8");
+  for (const std::uint32_t ways : {4u, 8u}) {
+    Table t({"kernel", "LRU", "tree-PLRU", "FIFO", "random"});
+    for (const Kernel& k : paperBenchmarks()) {
+      std::vector<std::string> row{k.name};
+      const Trace trace = generateTrace(k);
+      for (const ReplacementPolicy policy :
+           {ReplacementPolicy::LRU, ReplacementPolicy::TreePLRU,
+            ReplacementPolicy::FIFO, ReplacementPolicy::Random}) {
+        CacheConfig c = dm(128, 8, ways);
+        c.replacement = policy;
+        row.push_back(fmtFixed(simulateTrace(c, trace).missRate(), 4));
+      }
+      t.addRow(std::move(row));
+    }
+    std::cout << ways << "-way:\n" << t << '\n';
+  }
+  std::cout << "Tree-PLRU tracks true LRU within a fraction of a percent "
+               "on every kernel;\nthe paper's LRU assumption is safe for "
+               "embedded PLRU hardware.\n";
+}
+
+// Next-line prefetching vs the paper's line-size lever. The paper buys
+// spatial locality by doubling L (paying Em * L on every miss); a
+// one-block-lookahead prefetcher gets streaming coverage at small L.
+// Compares the designs on demand miss rate and off-chip line traffic.
+void ablationPrefetch(Run&) {
+  section("Ablation: prefetching (C64) — demand miss rate / off-chip "
+          "lines per access");
+  Table t({"kernel", "L8 plain", "L16 plain", "L8 + on-miss",
+           "L8 + tagged", "tagged accuracy"});
+  const auto cell = [](double mr, double traffic) {
+    return fmtFixed(mr, 3) + " / " + fmtFixed(traffic, 3);
+  };
+  for (const Kernel& k : paperBenchmarks()) {
+    const Trace trace = generateTrace(k);
+    const double n = static_cast<double>(trace.size());
+    const CacheStats l8 = simulateTrace(dm(64, 8), trace);
+    const CacheStats l16 = simulateTrace(dm(64, 16), trace);
+    PrefetchingCache onMiss(dm(64, 8), PrefetchPolicy::OnMiss);
+    onMiss.run(trace);
+    PrefetchingCache tagged(dm(64, 8), PrefetchPolicy::Tagged);
+    tagged.run(trace);
+    t.addRow({k.name,
+              cell(l8.missRate(), static_cast<double>(l8.lineFills) / n),
+              cell(l16.missRate(), static_cast<double>(l16.lineFills) / n),
+              cell(onMiss.stats().demand.missRate(),
+                   onMiss.stats().trafficPerAccess()),
+              cell(tagged.stats().demand.missRate(),
+                   tagged.stats().trafficPerAccess()),
+              fmtFixed(tagged.stats().accuracy(), 2)});
+  }
+  std::cout << t;
+  std::cout << "\nOn the streaming kernels tagged prefetch at L8 beats "
+               "doubling the line\nsize on demand misses at comparable "
+               "traffic; on reuse-heavy kernels it\npollutes — the same "
+               "trade-off the paper's L sweep exposes.\n";
+}
+
+// Set-sampled simulation accuracy: industrial traces are simulated on
+// 1-in-N set samples; this quantifies the miss-rate error that buys.
+void ablationSampling(Run&) {
+  section("Ablation: set-sampling accuracy (C256L8, 32 sets)");
+  Table t({"kernel", "full", "1/2 sets", "1/4 sets", "1/8 sets",
+           "max abs error"});
+  for (const Kernel& k : paperBenchmarks()) {
+    const Trace trace = generateTrace(k);
+    const CacheConfig c = dm(256, 8);
+    const double full = simulateTrace(c, trace).missRate();
+    std::vector<std::string> row{k.name, fmtFixed(full, 4)};
+    double maxErr = 0.0;
+    for (const std::uint32_t factor : {2u, 4u, 8u}) {
+      const double est = estimateMissRateBySetSampling(c, trace, factor);
+      maxErr = std::max(maxErr, std::abs(est - full));
+      row.push_back(fmtFixed(est, 4));
+    }
+    row.push_back(fmtFixed(maxErr, 4));
+    t.addRow(std::move(row));
+  }
+  std::cout << t;
+}
+
+// Sensitivity of the selected configuration to the model constants —
+// the generalization of Figure 1's Em study.
+void ablationSensitivity(Run&) {
+  const auto printRows = [](const std::vector<SensitivityRow>& rows,
+                            const std::string& name) {
+    Table t({name, "min-energy config", "energy (nJ)", "min-cycle config",
+             "cycles"});
+    for (const SensitivityRow& r : rows) {
+      t.addRow({fmtSig3(r.parameterValue), r.minEnergyKey.label(),
+                fmtSig3(r.minEnergyNj), r.minCycleKey.label(),
+                fmtSig3(r.minCycles)});
+    }
+    std::cout << t;
+    std::cout << (selectionStable(rows)
+                      ? "selection STABLE across the range\n\n"
+                      : "selection MOVES across the range\n\n");
+  };
+  const auto sweep = [](std::span<const double> values,
+                        const OptionsMutator& mutate) {
+    return sweepSensitivity(compressKernel(), values, mutate,
+                            compressSweep());
+  };
+
+  section("Ablation: Em sensitivity (Compress)");
+  const double ems[] = {1.0, kEmLow2MbitNj, kEmCypress2MbitNj, 10.0,
+                        kEmHigh16MbitNj};
+  printRows(sweepEmSensitivity(compressKernel(), ems, compressSweep()),
+            "Em");
+
+  section("Ablation: data-bus activity sensitivity (Compress)");
+  const double activities[] = {0.1, 0.25, 0.5, 0.75, 1.0};
+  printRows(sweep(activities,
+                  [](ExploreOptions& o, double v) {
+                    o.energy.dataActivity = v;
+                  }),
+            "activity");
+
+  section("Ablation: beta (cell energy) sensitivity (Compress)");
+  const double betas[] = {0.5, 1.0, 2.0, 4.0, 8.0};
+  printRows(sweep(betas,
+                  [](ExploreOptions& o, double v) { o.energy.betaPj = v; }),
+            "beta (pJ)");
+}
+
+// Tag-array read energy. The paper (following Kamble-Ghose) drops tag
+// and comparator energy from its model; this turns the tag-array term on
+// and measures how much the per-configuration energies — and, more
+// importantly, the *selected* configuration — change.
+void ablationTagEnergy(Run&) {
+  section("Ablation: tag-array energy on vs off (Compress sweep)");
+  ExploreOptions off = paperOptions();
+  off.ranges.sweepAssociativity = false;
+  off.ranges.sweepTiling = false;
+  ExploreOptions on = off;
+  on.energy.includeTagArray = true;
+
+  const Kernel k = compressKernel();
+  const Explorer exOff(off);
+  const Explorer exOn(on);
+
+  Table t({"config", "energy w/o tags", "energy w/ tags", "delta"});
+  for (const auto& [size, line] :
+       {std::pair{16u, 4u}, std::pair{64u, 8u}, std::pair{256u, 16u},
+        std::pair{1024u, 32u}}) {
+    const double eOff = exOff.evaluate(k, dm(size, line)).energyNj;
+    const double eOn = exOn.evaluate(k, dm(size, line)).energyNj;
+    t.addRow({dm(size, line).label(), fmtSig3(eOff), fmtSig3(eOn),
+              fmtFixed(100.0 * (eOn - eOff) / eOff, 1) + "%"});
+  }
+  std::cout << t;
+
+  const auto bestOff = minEnergyPoint(exOff.explore(k).points);
+  const auto bestOn = minEnergyPoint(exOn.explore(k).points);
+  std::cout << "\nmin-energy config without tags: " << bestOff->label()
+            << "\nmin-energy config with tags:    " << bestOn->label()
+            << '\n'
+            << (bestOff->key == bestOn->key
+                    ? "The selected configuration is unchanged — the "
+                      "paper's omission is safe\nfor selection purposes, "
+                      "even though absolute energies shift.\n"
+                    : "The selected configuration CHANGES when tag "
+                      "energy is modeled — the\nomission is not "
+                      "selection-safe at these geometries.\n");
+}
+
+// Write-buffer depth. A write-through cache without a merging buffer
+// would make write energy significant, undermining the paper's read-only
+// accounting; this shows how few entries keep write traffic negligible.
+void ablationWriteBuffer(Run&) {
+  section("Ablation: merging write-buffer depth (line 8, drain every 16 "
+          "accesses)");
+  Table t({"kernel", "stores", "1 entry", "2 entries", "4 entries",
+           "8 entries", "mem writes @4"});
+  for (const Kernel& k : paperBenchmarks()) {
+    const Trace trace = generateTrace(k);
+    std::vector<std::string> row{k.name};
+    std::uint64_t memWritesAt4 = 0;
+    for (const std::uint32_t entries : {1u, 2u, 4u, 8u}) {
+      WriteBufferConfig c;
+      c.entries = entries;
+      c.lineBytes = 8;
+      c.drainInterval = 16;
+      WriteBuffer wb(c);
+      wb.run(trace);
+      if (entries == 1) row.push_back(std::to_string(wb.stats().writesSeen));
+      row.push_back(fmtFixed(wb.stats().mergeRate(), 3));
+      if (entries == 4) memWritesAt4 = wb.stats().memWrites;
+    }
+    row.push_back(std::to_string(memWritesAt4));
+    t.addRow(std::move(row));
+  }
+  std::cout << t;
+  std::cout << "\nA 2-4 entry buffer merges a third or more of the "
+               "stores on the byte-wise\nstencils; writes are a minor "
+               "fraction of off-chip traffic either way.\n";
+}
+
+// Read-only energy accounting (the paper's model) vs full accounting
+// including store traffic.
+void ablationWriteEnergy(Run&) {
+  section("Ablation: read-only vs write-inclusive energy, C64L8");
+  Table t({"kernel", "policy", "read-only (nJ)", "with writes (nJ)",
+           "delta"});
+  for (const Kernel& k : paperBenchmarks()) {
+    const Trace trace = generateTrace(k);
+    for (const WritePolicy wp :
+         {WritePolicy::WriteBack, WritePolicy::WriteThrough}) {
+      CacheConfig c = dm(64, 8);
+      c.writePolicy = wp;
+      const CacheStats stats = simulateTrace(c, trace);
+      const CacheEnergyModel model(c, EnergyParams{},
+                                   measureAddrActivity(trace));
+      const double readOnly = model.totalNj(stats);
+      const double full = model.totalIncludingWritesNj(stats);
+      t.addRow({k.name, toString(wp), fmtSig3(readOnly), fmtSig3(full),
+                fmtFixed(100.0 * (full - readOnly) / readOnly, 1) + "%"});
+    }
+  }
+  std::cout << t;
+  std::cout << "\nWith write-back caches the store traffic adds a modest "
+               "share; with\nwrite-through (no buffer) it would not be "
+               "ignorable — quantifying the\npaper's implicit write-back "
+               "assumption.\n";
+}
+
+// Write policy. The paper models READ energy only (reads dominate); this
+// quantifies the off-chip write traffic the choice of write policy would
+// add, justifying that simplification.
+void ablationWritePolicy(Run&) {
+  section("Ablation: write policy, C64L8 (off-chip write traffic)");
+  Table t({"kernel", "writes", "WB writebacks", "WT mem writes",
+           "WB traffic (lines)", "WT traffic (words)"});
+  for (const Kernel& k : paperBenchmarks()) {
+    const Trace trace = generateTrace(k);
+    CacheConfig wb = dm(64, 8);
+    wb.writePolicy = WritePolicy::WriteBack;
+    const CacheStats sWb = simulateTrace(wb, trace);
+    CacheConfig wt = dm(64, 8);
+    wt.writePolicy = WritePolicy::WriteThrough;
+    const CacheStats sWt = simulateTrace(wt, trace);
+    t.addRow({k.name, std::to_string(sWb.writes),
+              std::to_string(sWb.writebacks), std::to_string(sWt.memWrites),
+              std::to_string(sWb.writebacks),
+              std::to_string(sWt.memWrites)});
+  }
+  std::cout << t;
+  std::cout << "\nRead fills dominate the off-chip traffic on every "
+               "kernel, supporting the\npaper's read-only energy "
+               "accounting.\n";
+}
+
+// --- Extensions ---------------------------------------------------------
+
+// Loop fusion as a memory optimization alongside the paper's tiling and
+// layout. Producer/consumer kernel pairs re-read arrays a whole kernel
+// apart; fusing them turns that into intra-iteration reuse.
+void extFusion(Run&) {
+  const std::int64_t n = 32;
+  Kernel producer;
+  producer.name = "blur";
+  producer.arrays = {ArrayDecl{"in", {n, n}, 1}, ArrayDecl{"tmp", {n, n}, 1}};
+  producer.nest = LoopNest::rectangular({{1, n - 2}, {1, n - 2}});
+  producer.body = {
+      makeAccess(0, {AffineExpr::var(0), AffineExpr::var(1)}),
+      makeAccess(0, {AffineExpr::var(0), AffineExpr::var(1).plusConstant(1)}),
+      makeAccess(1, {AffineExpr::var(0), AffineExpr::var(1)},
+                 AccessType::Write),
+  };
+  Kernel consumer;
+  consumer.name = "sharpen";
+  consumer.arrays = {ArrayDecl{"tmp", {n, n}, 1},
+                     ArrayDecl{"out", {n, n}, 1}};
+  consumer.nest = LoopNest::rectangular({{1, n - 2}, {1, n - 2}});
+  consumer.body = {
+      makeAccess(0, {AffineExpr::var(0), AffineExpr::var(1)}),
+      makeAccess(1, {AffineExpr::var(0), AffineExpr::var(1)},
+                 AccessType::Write),
+  };
+
+  section("Extension: loop fusion vs sequential kernels");
+  Table t({"cache", "sequential miss rate", "fused miss rate",
+           "improvement"});
+  const Kernel fused = fuseKernels(producer, consumer);
+  for (const auto& [size, ways] :
+       {std::pair{64u, 2u}, std::pair{128u, 2u}, std::pair{256u, 4u}}) {
+    const CacheConfig cache = dm(size, 8, ways);
+    // Fusion composes with the Section-4.1 assignment: place the fused
+    // kernel's arrays conflict-free, then compare traversals.
+    const MemoryLayout layout = assignConflictFree(fused, cache).layout;
+    Kernel prodView = fused;
+    prodView.body.assign(fused.body.begin(), fused.body.begin() + 3);
+    Kernel consView = fused;
+    consView.body.assign(fused.body.begin() + 3, fused.body.end());
+    Trace sequential = generateTrace(prodView, layout);
+    sequential.append(generateTrace(consView, layout));
+
+    const double seq = simulateTrace(cache, sequential).missRate();
+    const double fus =
+        simulateTrace(cache, generateTrace(fused, layout)).missRate();
+    t.addRow({cache.label(), fmtFixed(seq, 3), fmtFixed(fus, 3),
+              fmtFixed(seq / std::max(fus, 1e-9), 2) + "x"});
+  }
+  std::cout << t;
+  std::cout << "\nFusion removes the tmp-array round trip entirely — the "
+               "consumer reads the\nline the producer just wrote.\n";
+}
+
+// Two-level hierarchies. The paper trades one on-chip cache against
+// off-chip SRAM; a small L1 plus a modest L2 can beat any single-level
+// cache on off-chip traffic, which is where the energy goes.
+void extHierarchy(Run&) {
+  section("Extension: single-level vs two-level hierarchy (off-chip "
+          "line fills)");
+  Table t({"kernel", "C64L8 only", "C256L16 only", "C64L8 + L2 256L16",
+           "L1 miss rate", "global miss rate"});
+  for (const Kernel& k : paperBenchmarks()) {
+    const Trace trace = generateTrace(k);
+    CacheSim small(dm(64, 8));
+    small.run(trace);
+    CacheSim big(dm(256, 16));
+    big.run(trace);
+    CacheHierarchy stack(dm(64, 8), dm(256, 16, 2));
+    stack.run(trace);
+    t.addRow({k.name, std::to_string(small.stats().lineFills),
+              std::to_string(big.stats().lineFills),
+              std::to_string(stack.stats().mainReads),
+              fmtFixed(stack.stats().l1.missRate(), 3),
+              fmtFixed(stack.stats().globalMissRate(), 3)});
+  }
+  std::cout << t;
+  std::cout << "\nThe stack's off-chip traffic approaches the big "
+               "single-level cache while\nmost accesses still pay only "
+               "the small-cache hit energy.\n";
+}
+
+// Instruction-cache exploration (paper Section 1, future work: "The
+// exploration procedure described here for data caches can be extended
+// to instruction caches...") over the kernels' fetch streams.
+void extIcache(Run&) {
+  section("Extension: I-cache exploration over kernel fetch streams");
+  const InstructionLayout layout;
+  ExploreOptions o;
+  o.ranges.minCacheBytes = 32;
+  o.ranges.maxCacheBytes = 1024;
+  o.ranges.maxLineBytes = 32;
+  o.ranges.maxAssociativity = 2;
+
+  Table t({"kernel", "code bytes", "fetches", "min-energy I-cache",
+           "miss rate", "energy (nJ)"});
+  for (const Kernel& k : paperBenchmarks()) {
+    const Trace fetches = generateIFetchTrace(k, layout);
+    const ExplorationResult r = exploreTrace("icache-" + k.name, fetches, o);
+    const auto best = minEnergyPoint(r.points);
+    t.addRow({k.name, std::to_string(layout.codeBytes(k)),
+              std::to_string(fetches.size()), best->label(),
+              fmtFixed(best->missRate, 4), fmtSig3(best->energyNj)});
+  }
+  std::cout << t;
+  std::cout << "\nLoops are tiny: the minimum-energy I-cache is the "
+               "smallest power of two\nthat holds the loop body — after "
+               "that, every fetch hits and larger\narrays only burn cell "
+               "energy.\n";
+}
+
+// Two-level exploration — the MemExplore loop extended one memory level
+// down: the minimum-energy (L1, L2) stack per workload against the best
+// single-level cache of the same total capacity.
+void extL2Explore(Run&) {
+  section("Extension: (L1, L2) sweep vs best single-level cache");
+  Table t({"kernel", "best stack", "stack energy (nJ)", "stack global mr",
+           "flat cache (same bytes)", "flat energy (nJ)"});
+  for (const Kernel& k : paperBenchmarks()) {
+    const Trace trace = generateTrace(k);
+    const auto points = exploreHierarchy(trace, HierarchyRanges{});
+    const HierarchyPoint& best = *std::min_element(
+        points.begin(), points.end(),
+        [](const HierarchyPoint& a, const HierarchyPoint& b) {
+          return a.energyNj < b.energyNj;
+        });
+
+    // Single-level comparator with the same total on-chip bytes.
+    const std::uint32_t totalBytes = best.l1.sizeBytes + best.l2.sizeBytes;
+    std::uint32_t flatSize = 1;
+    while (flatSize * 2 <= totalBytes) flatSize *= 2;
+    const CacheConfig flat = dm(flatSize, 16);
+    const CacheEnergyModel flatModel(flat, EnergyParams{},
+                                     measureAddrActivity(trace));
+    t.addRow({k.name, best.label(), fmtSig3(best.energyNj),
+              fmtFixed(best.globalMissRate, 3), flat.label(),
+              fmtSig3(flatModel.totalNj(simulateTrace(flat, trace)))});
+  }
+  std::cout << t;
+  std::cout << "\nMost accesses hit the small L1 at small-array energy; "
+               "the L2 keeps the\noff-chip traffic of a large cache. The "
+               "stack wins whenever the kernel\nhas both a hot working "
+               "set and a long tail.\n";
+}
+
+// Scratchpad + cache budget splits (Panda-Dutt exploration): the paper
+// explores a pure cache; its predecessor work splits the same on-chip
+// SRAM budget between a software-managed scratchpad and a cache.
+void extScratchpad(Run&) {
+  const auto printKernel = [](const Kernel& k, std::uint32_t budget) {
+    Table t({"split", "SPM arrays", "SPM accesses", "cache miss rate",
+             "cycles", "energy (nJ)"});
+    for (const SplitResult& r : exploreBudgetSplits(k, budget, 8)) {
+      std::string arrays;
+      for (const std::string& name : r.spmArrays) {
+        if (!arrays.empty()) arrays += ",";
+        arrays += name;
+      }
+      if (arrays.empty()) arrays = "-";
+      t.addRow({r.label(), arrays, std::to_string(r.spmAccesses),
+                fmtFixed(r.cacheMissRate, 3), fmtSig3(r.cycles),
+                fmtSig3(r.energyNj)});
+    }
+    std::cout << "-- " << k.name << " (budget " << budget << " B) --\n"
+              << t << '\n';
+  };
+  section("Extension: scratchpad/cache splits of one on-chip budget");
+  // The MPEG dequant kernel has a hot 128-byte quantizer table: a split
+  // that pins it in the SPM beats every pure cache.
+  printKernel(mpegDequantKernel(), 512);
+  // The paper's dequant streams three arrays with no reuse: the SPM can
+  // only capture whole arrays, so splits mostly trade silicon for
+  // nothing and the pure cache wins.
+  printKernel(dequantKernel(), 512);
+  printKernel(mpegComputeKernel(), 2048);
+}
+
+// Loop skewing unlocks tiling on wavefront stencils. The paper tiles
+// kernels whose dependences are already non-negative; a wavefront
+// stencil (distance (1, -1)) defeats rectangular tiling until the inner
+// loop is skewed (Wolf-Lam).
+void extSkewing(Run&) {
+  const std::int64_t n = 32;
+  Kernel k;
+  k.name = "wavefront";
+  k.arrays = {ArrayDecl{"a", {n, n}, 1}};
+  k.nest = LoopNest::rectangular({{1, n - 2}, {0, n - 2}});
+  k.body = {
+      makeAccess(0, {AffineExpr::var(0).plusConstant(-1),
+                     AffineExpr::var(1).plusConstant(+1)}),
+      makeAccess(0, {AffineExpr::var(0), AffineExpr::var(1)},
+                 AccessType::Write),
+  };
+  k.validate();
+
+  const auto distancesOf = [](const Kernel& kernel) {
+    std::string out;
+    for (const Dependence& d : computeDependences(kernel)) {
+      out += toString(d.kind) + " (";
+      for (std::size_t i = 0; i < d.distance.size(); ++i) {
+        if (i) out += ",";
+        out += d.distance[i].known() ? std::to_string(*d.distance[i].value)
+                                     : std::string("*");
+      }
+      out += ") ";
+    }
+    return out.empty() ? std::string("-") : out;
+  };
+  const auto yesNo = [](bool b) { return b ? "yes" : "no"; };
+
+  section("Extension: skewing makes the wavefront stencil tileable");
+  Table t({"variant", "dependences", "tile2D legal"});
+  t.addRow({"a[i][j] = a[i-1][j+1]", distancesOf(k), yesNo(tilingIsLegal(k))});
+  for (const std::int64_t f : {1, 2}) {
+    const Kernel skewed = skew(k, 1, 0, f);
+    t.addRow({"skewed j += " + std::to_string(f) + "*i", distancesOf(skewed),
+              yesNo(tilingIsLegal(skewed))});
+  }
+  std::cout << t;
+
+  // Legality summary across the built-in kernels.
+  Table legality({"kernel", "tile2D", "interchange(0,1)"});
+  for (const Kernel& b : paperBenchmarks()) {
+    legality.addRow({b.name, yesNo(tilingIsLegal(b)),
+                     yesNo(interchangeIsLegal(b, 0, 1))});
+  }
+  legality.addRow({"wavefront", "no", yesNo(interchangeIsLegal(k, 0, 1))});
+  std::cout << "\nlegality of the paper's transforms on the built-in "
+               "kernels:\n"
+            << legality;
+}
+
+// Hardware vs software conflict elimination: the paper removes conflict
+// misses with data placement (Section 4.1); Jouppi's victim cache
+// removes them with hardware. Pitted against each other on the
+// word-array kernels whose rows alias.
+void extVictimCache(Run&) {
+  section("Extension: Section-4.1 layout vs victim cache, C64L8");
+  const CacheConfig cache = dm(64, 8);
+  Table t({"kernel", "plain DM", "victim x2", "victim x4", "4.1 layout",
+           "layout + victim x2"});
+  const auto victimMissRate = [&](const Trace& trace, std::uint32_t entries) {
+    VictimCache v(cache, entries);
+    v.run(trace);
+    return fmtFixed(v.stats().effectiveMissRate(), 3);
+  };
+  for (const Kernel& k : {compressKernel(32, 4), sorKernel(33, 4),
+                          dequantKernel(32, 4), pdeKernel(33, 4)}) {
+    const Trace tight = generateTrace(k, sequentialLayout(k));
+    const Trace optimized =
+        generateTrace(k, assignConflictFree(k, cache).layout);
+    t.addRow({k.name, fmtFixed(simulateTrace(cache, tight).missRate(), 3),
+              victimMissRate(tight, 2), victimMissRate(tight, 4),
+              fmtFixed(simulateTrace(cache, optimized).missRate(), 3),
+              victimMissRate(optimized, 2)});
+  }
+  std::cout << t;
+  std::cout << "\nBoth attacks remove the same conflict misses; the "
+               "software fix needs no\nextra silicon, the hardware fix "
+               "needs no control over data placement.\n";
+}
+
+// Cold-cache aggregation (the paper's Section-5 method) vs a warm
+// chained run of the same MPEG decoder. The paper computes MISS_R as a
+// trip-weighted sum of per-kernel miss rates measured in isolation; a
+// real decoder's kernels share one cache, so repeated invocations hit
+// their own leftovers and neighbors can feed or pollute each other.
+void extWarmChaining(Run&) {
+  section("Extension: cold-aggregate vs warm chained MPEG miss rate");
+  const CompositeProgram decoder = mpegDecoder();
+  Table t({"cache", "cold aggregate (paper method)", "warm chained",
+           "warm/cold"});
+  for (const auto& [size, line] :
+       {std::pair{64u, 4u}, std::pair{256u, 8u}, std::pair{1024u, 16u},
+        std::pair{4096u, 16u}}) {
+    const ChainedRun run = runChained(decoder, dm(size, line));
+    t.addRow({dm(size, line).label(), fmtFixed(run.coldAggregateMissRate, 3),
+              fmtFixed(run.warmMissRate(), 3),
+              fmtFixed(run.warmMissRate() /
+                           std::max(run.coldAggregateMissRate, 1e-9),
+                       2)});
+  }
+  std::cout << t;
+
+  const ChainedRun detail = runChained(decoder, dm(1024, 16));
+  Table perKernel({"kernel", "trips", "warm miss rate"});
+  for (std::size_t j = 0; j < decoder.kernelCount(); ++j) {
+    perKernel.addRow({decoder.kernel(j).name,
+                      std::to_string(decoder.trips(j)),
+                      fmtFixed(detail.kernelMissRates[j], 3)});
+  }
+  std::cout << "\nper-kernel warm miss rates at C1024L16:\n" << perKernel;
+  std::cout << "\nRepeated kernels (trips > 1) re-hit their own data once "
+               "the cache holds\ntheir working set, so the cold-cache "
+               "aggregation overestimates misses on\nlarge caches — the "
+               "paper's method is conservative there.\n";
+}
+
+// Working-set curves from one-pass stack-distance analysis (Mattson et
+// al.), cross-checked against Section 3: the knee of the
+// fully-associative curve is the analytical minimum cache size,
+// recovered from the trace alone.
+void extWorkingSet(Run&) {
+  section("Extension: working-set curves (fully-associative miss rate "
+          "vs lines, L = 8)");
+  Table t({"kernel", "2", "4", "8", "16", "32", "64", "knee (90% hits)",
+           "Section-3 min lines"});
+  for (const Kernel& k : paperBenchmarks()) {
+    const ReuseProfile profile(generateTrace(k), 8);
+    std::vector<std::string> row{k.name};
+    for (const std::uint64_t lines : {2u, 4u, 8u, 16u, 32u, 64u}) {
+      row.push_back(fmtFixed(profile.predictedMissRate(lines), 3));
+    }
+    row.push_back(std::to_string(profile.linesForHitRate(0.9)));
+    row.push_back(std::to_string(minCacheLines(k, 8)));
+    t.addRow(std::move(row));
+  }
+  std::cout << t;
+  std::cout << "\nThe 90%-hit knee sits at (or near) the Section-3 "
+               "analytical minimum for\nthe stencil kernels — two "
+               "independent derivations of the same number.\n";
+}
+
+// --- CSV archive --------------------------------------------------------
+
+// Every exploration the figures are built from, one CSV per workload:
+// the five benchmark sweeps behind Figures 1-9, then the Section-5 MPEG
+// composite (per-kernel CSVs, the combination as CSV and JSON). Diff two
+// runs' directories to spot regressions.
+void csvArchive(Run& run) {
+  const fs::path& outDir = run.outDir();
   fs::create_directories(outDir);
 
-  ExploreOptions options;
-  options.ranges.maxCacheBytes = 1024;
-  options.ranges.maxTiling = 16;
-  const Explorer explorer(options);
-
-  // The five benchmark sweeps behind Figures 1-9.
+  const Explorer explorer(paperOptions());
   for (const Kernel& kernel : paperBenchmarks()) {
     const ExplorationResult result = explorer.explore(kernel);
     const fs::path file = outDir / (kernel.name + ".csv");
@@ -33,18 +1277,11 @@ int main(int argc, char** argv) {
     const auto minE = minEnergyPoint(result.points);
     const auto minC = minCyclePoint(result.points);
     std::cout << kernel.name << ": " << result.points.size()
-              << " points -> " << file.string()
-              << "  (min energy " << minE->label() << ", min cycles "
-              << minC->label() << ")\n";
+              << " points -> " << file.string() << "  (min energy "
+              << minE->label() << ", min cycles " << minC->label() << ")\n";
   }
 
-  // The Section-5 MPEG composite behind Figure 10.
-  ExploreOptions mpegOptions = options;
-  mpegOptions.ranges.maxCacheBytes = 512;
-  mpegOptions.ranges.maxLineBytes = 16;
-  const Explorer mpegExplorer(mpegOptions);
-  const CompositeProgram decoder = mpegDecoder();
-  const CompositeProgram::Result mpeg = decoder.explore(mpegExplorer);
+  const CompositeProgram::Result& mpeg = run.mpeg();
   {
     std::ofstream os(outDir / "mpeg_combined.csv");
     writeResultCsv(os, mpeg.combined);
@@ -65,5 +1302,76 @@ int main(int argc, char** argv) {
 
   std::cout << "\nAll sweeps archived under " << outDir.string()
             << " — diff two runs to spot regressions.\n";
+}
+
+// --- Registry -----------------------------------------------------------
+
+struct Entry {
+  const char* id;
+  const char* title;
+  void (*print)(Run&);
+};
+
+constexpr Entry kEntries[] = {
+    {"fig01", "Fig 1: Compress energy vs (C, L) at two Em values", fig01},
+    {"fig02", "Fig 2: metrics along the (C, L) diagonal", fig02},
+    {"fig03", "Fig 3: Compress cycles vs (C, L)", fig03},
+    {"fig04", "Fig 4: Compress energy vs (C, L), selections", fig04},
+    {"fig05", "Fig 5: optimized vs unoptimized layout", fig05},
+    {"fig06", "Fig 6: metrics vs tiling size", fig06},
+    {"fig07", "Fig 7: energy vs tiling and associativity", fig07},
+    {"fig08", "Fig 8: metrics vs set associativity", fig08},
+    {"fig09", "Fig 9: metrics vs (SA, TS), both layouts", fig09},
+    {"fig10", "Fig 10: min-energy config per MPEG kernel", fig10},
+    {"sec3", "Section 3: reference classes, min cache size", sec3},
+    {"sec5", "Section 5: MPEG whole-program optima", sec5},
+    {"ablation_addr_encoding", "Gray vs binary bus", ablationAddrEncoding},
+    {"ablation_analytic_vs_sim", "closed form vs sim", ablationAnalyticVsSim},
+    {"ablation_dram", "row-buffer memory vs flat Em", ablationDram},
+    {"ablation_interchange", "interchange vs tiling", ablationInterchange},
+    {"ablation_leakage", "leakage vs the selection", ablationLeakage},
+    {"ablation_plru", "replacement policies", ablationPlru},
+    {"ablation_prefetch", "prefetching vs line size", ablationPrefetch},
+    {"ablation_sampling", "set-sampling accuracy", ablationSampling},
+    {"ablation_sensitivity", "model constants", ablationSensitivity},
+    {"ablation_tag_energy", "tag-array energy", ablationTagEnergy},
+    {"ablation_write_buffer", "write-buffer depth", ablationWriteBuffer},
+    {"ablation_write_energy", "write energy", ablationWriteEnergy},
+    {"ablation_write_policy", "write-policy traffic", ablationWritePolicy},
+    {"ext_fusion", "loop fusion", extFusion},
+    {"ext_hierarchy", "two-level hierarchy", extHierarchy},
+    {"ext_icache", "instruction caches", extIcache},
+    {"ext_l2_explore", "(L1, L2) exploration", extL2Explore},
+    {"ext_scratchpad", "scratchpad budget splits", extScratchpad},
+    {"ext_skewing", "skewing for tiling", extSkewing},
+    {"ext_victim_cache", "layout vs victim cache", extVictimCache},
+    {"ext_warm_chaining", "warm chained MPEG", extWarmChaining},
+    {"ext_working_set", "working-set curves", extWorkingSet},
+    {"csv", "CSV archive of every exploration", csvArchive},
+};
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Run run(argc > 1 ? argv[1] : "paper_results");
+  const std::vector<std::string> ids(argv + std::min(argc, 2), argv + argc);
+  for (const std::string& id : ids) {
+    const auto known = [&](const Entry& e) { return id == e.id; };
+    if (std::none_of(std::begin(kEntries), std::end(kEntries), known)) {
+      std::cerr << "reproduce_paper: unknown id '" << id
+                << "'\nusage: reproduce_paper [out-dir] [id...]\nids:\n";
+      for (const Entry& e : kEntries) {
+        std::cerr << "  " << std::left << std::setw(26) << e.id << e.title
+                  << '\n';
+      }
+      return 1;
+    }
+  }
+  for (const Entry& e : kEntries) {
+    if (ids.empty() ||
+        std::find(ids.begin(), ids.end(), e.id) != ids.end()) {
+      e.print(run);
+    }
+  }
   return 0;
 }

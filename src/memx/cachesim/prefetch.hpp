@@ -4,7 +4,7 @@
 // The paper buys spatial locality by enlarging L, paying Em * L on every
 // miss; a next-line prefetcher gets the same streaming benefit at small
 // L by fetching line k+1 on a miss to (or first use of) line k. The
-// `ablation_prefetch` bench compares the two levers.
+// `ablation_prefetch` reproduce_paper entry compares the two levers.
 #pragma once
 
 #include <cstdint>

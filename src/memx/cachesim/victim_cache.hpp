@@ -3,8 +3,8 @@
 //
 // The paper removes conflict misses in software (Section-4.1 data
 // placement); a victim cache is the classic hardware answer to the same
-// problem. The `ext_victim_cache` bench pits the two against each other
-// on the same workloads.
+// problem. The `ext_victim_cache` reproduce_paper entry pits the two
+// against each other on the same workloads.
 #pragma once
 
 #include <cstdint>

@@ -50,6 +50,7 @@ private:
 struct StreamedReplay {
   std::vector<CacheStats> stats;  ///< per-member, warmup excluded
   double addBs = 0.0;             ///< counted-region Add_bs
+  std::uint64_t replayedRefs = 0;  ///< warmup + counted references
 };
 
 /// Drive `bank` (MultiCacheSim or StackDistSim — same run/stats
@@ -91,6 +92,9 @@ StreamedReplay replayStreamed(Bank& bank, std::size_t members,
   }
 
   StreamedReplay out;
+  // Every member sees every reference, so member 0's end-of-run access
+  // count is the whole replay, warmup included.
+  out.replayedRefs = bank.stats(0).accesses();
   out.stats.reserve(members);
   for (std::size_t i = 0; i < members; ++i) {
     out.stats.push_back(bank.stats(i) - base[i]);
@@ -210,16 +214,30 @@ ExplorationResult exploreTrace(const std::string& name, TraceSource& source,
 
   // One bank, one pass over the stream, same backend resolution as the
   // Trace overload. The two bank types share the run/stats interface,
-  // so one driver serves both.
+  // so one driver serves both. The work counters match
+  // Explorer::evaluateGroup's, over every replayed reference (warmup
+  // included: the bank does that work too).
   StreamedReplay replay;
   if (grid.resolvedBackend() == SweepBackend::StackDist) {
     StackDistSim bank(configs);
     replay = replayStreamed(bank, configs.size(), source, window,
                             o.measureBusActivity, chunkRefs, recorder);
+    if (recorder != nullptr) {
+      recorder->counter("stackdist.passes").add(bank.passCount());
+      recorder->counter("stackdist.accesses")
+          .add(replay.replayedRefs * bank.passCount());
+    }
   } else {
     MultiCacheSim bank(configs);
     replay = replayStreamed(bank, configs.size(), source, window,
                             o.measureBusActivity, chunkRefs, recorder);
+    if (recorder != nullptr) {
+      recorder->counter("sim.accesses")
+          .add(replay.replayedRefs * configs.size());
+    }
+  }
+  if (recorder != nullptr) {
+    recorder->counter("sweep.points").add(keys.size());
   }
   const double addBs = o.measureBusActivity ? replay.addBs
                                             : kDefaultAddrSwitchesPerAccess;

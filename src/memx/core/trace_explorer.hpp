@@ -42,7 +42,11 @@ namespace memx {
 //
 // `recorder`, when non-null, receives `trace.bytes_read` /
 // `trace.refs_decoded` counter deltas (from the source's IngestStats)
-// and `trace.ingest` / `trace.warmup` / `trace.replay` spans.
+// and `trace.ingest` / `trace.warmup` / `trace.replay` spans. The sweep
+// also records Explorer's work counters: `sweep.points`, and either
+// `stackdist.passes` + `stackdist.accesses` (replayed references, warmup
+// included, times passes) or `sim.accesses` (replayed references times
+// configurations).
 
 /// Streamed single-configuration evaluation (simulation backend).
 [[nodiscard]] DesignPoint evaluateTracePoint(

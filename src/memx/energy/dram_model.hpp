@@ -4,8 +4,8 @@
 // asynchronous SRAMs it cites. DRAM-style parts (and later SDRAMs) have
 // a row buffer: an access to the open row is cheap, a row change pays
 // activation + precharge. This model replays a miss-address stream
-// through one bank's row buffer, so the `ablation_dram` bench can show
-// when the flat-Em assumption distorts the energy ranking.
+// through one bank's row buffer, so the `ablation_dram` reproduce_paper
+// entry can show when the flat-Em assumption distorts the energy ranking.
 #pragma once
 
 #include <cstdint>

@@ -47,7 +47,8 @@ struct EnergyParams {
   std::uint32_t mainBytesPerAccess = 1;
   /// Add the tag-array read energy to every access. The paper (following
   /// Kamble-Ghose) drops tag/comparator energy as insignificant; the
-  /// `ablation_tag_energy` bench quantifies what that omission costs.
+  /// `ablation_tag_energy` reproduce_paper entry quantifies what that
+  /// omission costs.
   bool includeTagArray = false;
   /// Physical address width used to size the tags when enabled.
   std::uint32_t addressBits = 32;
@@ -110,8 +111,8 @@ public:
   /// read-only model ignores: write hits pay E_hit, write misses pay
   /// E_miss (write-allocate fills), write-through stores and write-back
   /// evictions each pay the I/O + main-memory cost of the data they
-  /// move. The `ablation_write_energy` bench quantifies the difference
-  /// against totalNj.
+  /// move. The `ablation_write_energy` reproduce_paper entry quantifies
+  /// the difference against totalNj.
   [[nodiscard]] double totalIncludingWritesNj(
       const CacheStats& stats) const;
 

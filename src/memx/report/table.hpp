@@ -1,5 +1,5 @@
-// Fixed-width ASCII tables and CSV output used by every bench binary to
-// print paper-style rows.
+// Fixed-width ASCII tables and CSV output used by reproduce_paper and
+// the CLI to print paper-style rows.
 #pragma once
 
 #include <cstdint>

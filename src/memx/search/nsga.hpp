@@ -40,6 +40,13 @@ class Recorder;
 
 namespace memx::search {
 
+/// Largest populationSize / generations a request may ask for (the
+/// serve protocol and memx_cli reject more). Search reserves a genome
+/// per population slot and loops once per generation, so an unbounded
+/// value is an unbounded allocation or run.
+inline constexpr std::uint32_t kMaxPopulationSize = 65536;
+inline constexpr std::uint32_t kMaxGenerations = 65536;
+
 /// Knobs of one search run. Defaults suit spaces of 10^3..10^6 points.
 struct SearchOptions {
   std::uint64_t seed = 1;

@@ -203,12 +203,12 @@ void parseSearch(const JsonValue& value, Request& request) {
     request.search.seed = requireUnsigned(fields, *v, "seed", kU64Max);
   }
   if (const JsonValue* v = fields.get("pop")) {
-    request.search.populationSize =
-        static_cast<std::uint32_t>(requireUnsigned(fields, *v, "pop", kU32Max));
+    request.search.populationSize = static_cast<std::uint32_t>(
+        requireUnsigned(fields, *v, "pop", search::kMaxPopulationSize));
   }
   if (const JsonValue* v = fields.get("gens")) {
     request.search.generations = static_cast<std::uint32_t>(
-        requireUnsigned(fields, *v, "gens", kU32Max));
+        requireUnsigned(fields, *v, "gens", search::kMaxGenerations));
   }
   if (const JsonValue* v = fields.get("budget")) {
     request.search.maxEvaluations =

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "memx/core/selection.hpp"
 #include "memx/kernels/benchmarks.hpp"
 #include "memx/mpeg/composite.hpp"
@@ -97,6 +100,17 @@ TEST(Composite, MpegOptimaExistAndDiffer) {
   EXPECT_NE(minE->key, minC->key);
   EXPECT_LE(minE->energyNj, minC->energyNj);
   EXPECT_LE(minC->cycles, minE->cycles);
+
+  // Figure 10: different kernels prefer different corners of the design
+  // space, and none of their optima is the whole-program optimum.
+  std::set<std::string> kernelOptima;
+  for (const ExplorationResult& kernel : r.perKernel) {
+    const auto best = minEnergyPoint(kernel.points);
+    ASSERT_TRUE(best.has_value());
+    EXPECT_NE(best->key, minE->key) << kernel.workload;
+    kernelOptima.insert(best->label());
+  }
+  EXPECT_GE(kernelOptima.size(), 2u);
 }
 
 }  // namespace

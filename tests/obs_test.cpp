@@ -7,9 +7,11 @@
 #include <vector>
 
 #include "memx/core/parallel_explorer.hpp"
+#include "memx/core/trace_explorer.hpp"
 #include "memx/kernels/benchmarks.hpp"
 #include "memx/obs/recorder.hpp"
 #include "memx/obs/run_report.hpp"
+#include "memx/trace/file_source.hpp"
 
 namespace memx {
 namespace {
@@ -389,6 +391,39 @@ TEST(ObsIntegration, ParallelReportCarriesWorkerSpans) {
   for (const obs::WorkerStat& w : report.workers) {
     EXPECT_GE(w.utilization, 0.0);
     EXPECT_LE(w.utilization, 1.0 + 1e-9);
+  }
+}
+
+// The streamed sweep records the same work counters as the Explorer
+// path, over every reference the bank replays: sample.din holds 112
+// references, and a 20-reference warmup is replayed work too.
+TEST(ObsIntegration, StreamedTraceSweepCountsReplayedWork) {
+  constexpr std::uint64_t kSampleRefs = 112;
+  ExploreOptions o = smallSweep();  // line sizes 4, 8, 16
+  for (const SweepBackend backend :
+       {SweepBackend::StackDist, SweepBackend::MultiSim}) {
+    o.backend = backend;
+    obs::Recorder recorder;
+    FileTraceSource source(MEMX_SAMPLE_TRACE);
+    const ExplorationResult result = exploreTrace(
+        "sample", source, o, TraceWindow{0, 20, 0}, kDefaultTraceChunkRefs,
+        &recorder);
+    const obs::RunReport report = recorder.report();
+    SCOPED_TRACE(toString(backend));
+    ASSERT_FALSE(result.points.empty());
+    EXPECT_EQ(result.points.front().accesses, kSampleRefs - 20);
+    EXPECT_EQ(report.counter("trace.refs_decoded"), kSampleRefs);
+    EXPECT_EQ(report.counter("sweep.points"), result.points.size());
+    if (backend == SweepBackend::StackDist) {
+      EXPECT_EQ(report.counter("stackdist.passes"), 3u);
+      EXPECT_EQ(report.counter("stackdist.accesses"), kSampleRefs * 3);
+      EXPECT_EQ(report.counter("sim.accesses"), 0u);
+    } else {
+      EXPECT_EQ(report.counter("sim.accesses"),
+                kSampleRefs * result.points.size());
+      EXPECT_EQ(report.counter("stackdist.passes"), 0u);
+      EXPECT_EQ(report.counter("stackdist.accesses"), 0u);
+    }
   }
 }
 

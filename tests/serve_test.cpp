@@ -537,6 +537,23 @@ TEST(Server, MalformedRequestsGetDiagnosticsNotCrashes) {
   EXPECT_TRUE(okOf(response(server, R"({"id":5,"op":"ping"})")));
 }
 
+TEST(Server, HostileSearchSizeRejectedAndServerCarriesOn) {
+  // pop and gens size an allocation and a loop: a request past the cap
+  // is refused up front with the offending field named.
+  Server server;
+  for (const char* knob : {"pop", "gens"}) {
+    const JsonValue rejected = response(
+        server, std::string(R"({"id":1,"op":"search","workload":"matadd",)") +
+                    R"("search":{")" + knob + R"(":4000000000}})");
+    EXPECT_FALSE(okOf(rejected));
+    EXPECT_NE(field(rejected, "error").asString().find(
+                  std::string("search.") + knob),
+              std::string::npos)
+        << rejected.dump();
+  }
+  EXPECT_TRUE(okOf(response(server, R"({"id":2,"op":"ping"})")));
+}
+
 TEST(Server, OversizedRequestRejectedAndConnectionSurvives) {
   ServerOptions options;
   options.maxRequestBytes = 256;

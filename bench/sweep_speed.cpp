@@ -1,21 +1,19 @@
 // Sweep-engine speed check: the full Compress sweep on the reference
 // per-point path (Explorer::evaluate per sweep key, regenerating the
 // trace every time) versus the shared-trace one-pass engine (explore()
-// and exploreParallel()), plus an instrumented parallel run with an
-// obs::Recorder attached to measure the observability layer's overhead
-// (budget: < 5%), plus two backend comparisons — the same serial
-// shared-trace sweep forced onto SweepBackend::MultiSim versus
-// SweepBackend::StackDist (the sweep is LRU-only, so the analytic
-// backend applies; budget: >= 2x points/sec), once on the paper's
-// read-only energy metric and once with write-back + write energy on
-// (exact writebacks via dirty-stack accounting; same >= 2x budget,
-// and Auto must resolve that sweep to StackDist), plus the same
-// comparison on FIFO and tree-PLRU sweeps (served by the single-pass
-// policy-grid engine; same bit-identity requirement and >= 2x
-// points/sec budget, and Auto must resolve both to StackDist). Asserts
+// and exploreParallel(), analytic for this LRU sweep), plus an
+// instrumented parallel run with an obs::Recorder attached to measure
+// the observability layer's overhead (budget: < 5%), plus engine
+// comparisons: explore() against the same plan simulated in
+// MultiCacheSim banks (planSweep -> buildGroupTrace -> configFor ->
+// bank -> makePoint; budget: analytic >= 2x points/sec), once on the
+// paper's read-only energy metric, once with write-back + write energy
+// on (exact writebacks via dirty-stack accounting), and on FIFO and
+// tree-PLRU sweeps (served by the single-pass policy-grid engine).
+// Every plan must put these sweeps on the analytic engine. Asserts
 // every path produces bit-identical DesignPoint vectors, then writes
-// BENCH_sweep_speed.json with points/sec of each path and backend, the
-// speedup (including fifo_*/plru_* fields for the grid engine), the
+// BENCH_sweep_speed.json with points/sec of each path and engine, the
+// speedups (including fifo_*/plru_* fields for the grid engine), the
 // sink overhead, and the full RunReport, and BENCH_sweep_trace.json
 // with the chrome://tracing worker timeline. Exits nonzero on any
 // mismatch or blown budget.
@@ -33,6 +31,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "memx/cachesim/multi_sim.hpp"
 #include "memx/core/parallel_explorer.hpp"
 
 namespace {
@@ -73,16 +72,52 @@ bool identical(const std::vector<DesignPoint>& a,
   return true;
 }
 
+/// The simulating side of each engine comparison: the plan explore()
+/// runs, with every group's configurations simulated in one
+/// MultiCacheSim bank and folded through the same point model. The
+/// group traces stay alive in `traces`, as explore() keeps them in its
+/// trace cache, so the two sides differ only in the engine (reusing one
+/// cache-hot trace buffer made this side ~10% faster).
+std::vector<DesignPoint> simulatedSweep(const Explorer& g,
+                                        const Kernel& kernel,
+                                        std::vector<memx::Trace>& traces) {
+  const memx::SweepPlan plan = g.planSweep(kernel, g.sweepKeys());
+  std::vector<DesignPoint> out(plan.keys.size());
+  Explorer::PatternCache patterns;
+  for (const memx::SweepPlan::Group& group : plan.groups) {
+    const memx::Trace& trace =
+        traces.emplace_back(g.buildGroupTrace(kernel, group, patterns));
+    const double addBs = g.addrActivityFor(trace);
+    std::vector<memx::CacheConfig> configs;
+    configs.reserve(group.keyIndices.size());
+    for (const std::size_t idx : group.keyIndices) {
+      configs.push_back(g.configFor(plan.keys[idx]));
+    }
+    memx::MultiCacheSim bank(configs);
+    bank.run(trace);
+    for (std::size_t j = 0; j < configs.size(); ++j) {
+      const std::size_t idx = group.keyIndices[j];
+      out[idx] = g.makePoint(configs[j], plan.keys[idx].tiling,
+                             bank.stats(j), addBs);
+    }
+  }
+  return out;
+}
+
+/// True iff every group of `g`'s plan runs on the analytic engine.
+bool plannedAnalytic(const Explorer& g, const Kernel& kernel) {
+  const memx::SweepPlan plan = g.planSweep(kernel, g.sweepKeys());
+  for (const memx::SweepPlan::Group& group : plan.groups) {
+    if (group.backend != memx::SweepBackend::StackDist) return false;
+  }
+  return !plan.groups.empty();
+}
+
 }  // namespace
 
 int main() {
   const Kernel kernel = memx::compressKernel();
-  // The simulating backend is pinned so the baseline/shared/parallel
-  // timings keep measuring what they always measured; the analytic
-  // backend gets its own timed path below.
-  memx::ExploreOptions simOptions = memx::bench::paperOptions();
-  simOptions.backend = memx::SweepBackend::MultiSim;
-  const Explorer grid(simOptions);
+  const Explorer grid(memx::bench::paperOptions());
   const std::vector<ConfigKey> keys = grid.sweepKeys();
 
   memx::bench::section("Sweep-engine speed (" + kernel.name + ", " +
@@ -91,7 +126,7 @@ int main() {
   // Pre-warm the layout memo (untimed): the Section-4.1 conflict-free
   // assignment is computed and memoized identically by every path and is
   // untouched by the sweep engine, so the timings below isolate what the
-  // engine changed — trace generation and cache simulation.
+  // engine changed — trace generation and cache evaluation.
   (void)grid.planSweep(kernel, keys);
 
   // The engine paths finish in ~10 ms, so any single rep is at the mercy
@@ -117,8 +152,8 @@ int main() {
   // runs on a pristine copy of `grid` (warm layouts, empty trace cache)
   // so every rep generates the group traces from scratch, like the
   // baseline regenerates its per-point traces. The serial timing itself
-  // happens in the interleaved backend loop below so the backend
-  // speedups pair measurements taken under the same machine conditions.
+  // happens in the interleaved engine loop below so the engine speedups
+  // pair measurements taken under the same machine conditions.
   double sharedSec = 1e30;
   std::vector<DesignPoint> sharedPts;
 
@@ -148,69 +183,33 @@ int main() {
     report = recorder.report();
   }
 
-  // Backend comparison: the identical serial shared-trace sweep forced
-  // onto the stack-distance backend (this sweep is LRU/write-allocate
-  // throughout, so the analytic engine is exact; the property suite
-  // pins bit-equality, re-asserted here), once on the paper's read-only
-  // metric and once with write-back + write energy on. The write-back
-  // sweep — the one the paper's write-energy experiments run, and
-  // ineligible for the analytic backend before dirty-stack accounting —
-  // must additionally be served by StackDist under Auto.
-  memx::ExploreOptions stackOptions = memx::bench::paperOptions();
-  stackOptions.backend = memx::SweepBackend::StackDist;
-  const Explorer stackGrid(stackOptions);
-  (void)stackGrid.planSweep(kernel, keys);  // warm the layout memo too
-
+  // Engine comparisons: explore() on each sweep against the same plan
+  // simulated in MultiCacheSim banks, once on the paper's read-only
+  // metric, once with write-back + write energy on (the sweep the
+  // paper's write-energy experiments run), and under FIFO and tree-PLRU
+  // replacement, where the analytic engine is the single-pass
+  // PolicyGridProfile instead of the Hill-Smith profile. Every one of
+  // these plans must put its groups on the analytic engine.
   memx::ExploreOptions wbOptions = memx::bench::paperOptions();
   wbOptions.includeWriteEnergy = true;  // writePolicy defaults to WriteBack
-  const bool wbAutoIsStackDist =
-      Explorer(wbOptions).resolvedBackend() == memx::SweepBackend::StackDist;
-  if (!wbAutoIsStackDist) {
-    std::cerr << "MISMATCH: Auto backend did not resolve to StackDist for "
-                 "the write-back + write-energy sweep\n";
-  }
-
-  wbOptions.backend = memx::SweepBackend::MultiSim;
-  const Explorer wbSimGrid(wbOptions);
-  (void)wbSimGrid.planSweep(kernel, keys);  // warm the layout memo
-  wbOptions.backend = memx::SweepBackend::StackDist;
-  const Explorer wbStackGrid(wbOptions);
-  (void)wbStackGrid.planSweep(kernel, keys);
-
-  // Policy-grid comparison: the same sweep under FIFO and tree-PLRU
-  // replacement, where StackDist means the single-pass PolicyGridProfile
-  // engine instead of the Hill-Smith profile. Auto must resolve both to
-  // the analytic backend, and the grid must beat per-config simulation
-  // by the same >= 2x floor while staying bit-identical.
+  const Explorer wbGrid(wbOptions);
   memx::ExploreOptions fifoOptions = memx::bench::paperOptions();
   fifoOptions.replacement = memx::ReplacementPolicy::FIFO;
+  const Explorer fifoGrid(fifoOptions);
   memx::ExploreOptions plruOptions = memx::bench::paperOptions();
   plruOptions.replacement = memx::ReplacementPolicy::TreePLRU;
-  const bool gridAutoIsStackDist =
-      Explorer(fifoOptions).resolvedBackend() ==
-          memx::SweepBackend::StackDist &&
-      Explorer(plruOptions).resolvedBackend() ==
-          memx::SweepBackend::StackDist;
-  if (!gridAutoIsStackDist) {
-    std::cerr << "MISMATCH: Auto backend did not resolve to StackDist for "
-                 "the FIFO/PLRU sweeps\n";
+  const Explorer plruGrid(plruOptions);
+  // planSweep also warms each layout memo (untimed).
+  const bool allAnalytic =
+      plannedAnalytic(grid, kernel) && plannedAnalytic(wbGrid, kernel) &&
+      plannedAnalytic(fifoGrid, kernel) && plannedAnalytic(plruGrid, kernel);
+  if (!allAnalytic) {
+    std::cerr << "MISMATCH: planSweep did not put the LRU, write-back + "
+                 "write-energy, FIFO and PLRU sweeps on the analytic "
+                 "engine\n";
   }
 
-  fifoOptions.backend = memx::SweepBackend::MultiSim;
-  const Explorer fifoSimGrid(fifoOptions);
-  (void)fifoSimGrid.planSweep(kernel, keys);
-  fifoOptions.backend = memx::SweepBackend::StackDist;
-  const Explorer fifoStackGrid(fifoOptions);
-  (void)fifoStackGrid.planSweep(kernel, keys);
-
-  plruOptions.backend = memx::SweepBackend::MultiSim;
-  const Explorer plruSimGrid(plruOptions);
-  (void)plruSimGrid.planSweep(kernel, keys);
-  plruOptions.backend = memx::SweepBackend::StackDist;
-  const Explorer plruStackGrid(plruOptions);
-  (void)plruStackGrid.planSweep(kernel, keys);
-
-  // The four backend timings are interleaved inside one rep loop: each
+  // The engine timings are interleaved inside one rep loop: each
   // speedup pairs two ~10 ms measurements taken back to back, so both
   // sides of a ratio see the same background-load conditions, and the
   // budgets check the median of the per-rep ratios — separate loops
@@ -226,25 +225,36 @@ int main() {
     pts = std::move(r.points);
     return sec;
   };
-  double stackSec = 1e30, wbSimSec = 1e30, wbStackSec = 1e30;
+  auto timeSimulated = [&](const Explorer& g, double& best,
+                           std::vector<DesignPoint>& pts) {
+    const Explorer fresh = g;  // same starting state as timeExplore
+    std::vector<memx::Trace> traces;  // freed untimed, like fresh's cache
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<DesignPoint> r = simulatedSweep(fresh, kernel, traces);
+    const double sec = seconds(t0, std::chrono::steady_clock::now());
+    best = std::min(best, sec);
+    pts = std::move(r);
+    return sec;
+  };
+  double simSec = 1e30, wbSimSec = 1e30, wbStackSec = 1e30;
   double fifoSimSec = 1e30, fifoStackSec = 1e30;
   double plruSimSec = 1e30, plruStackSec = 1e30;
-  std::vector<DesignPoint> stackPts, wbSimPts, wbStackPts;
+  std::vector<DesignPoint> simPts, wbSimPts, wbStackPts;
   std::vector<DesignPoint> fifoSimPts, fifoStackPts, plruSimPts,
       plruStackPts;
   std::vector<double> stackRatios, wbRatios, fifoRatios, plruRatios;
   for (int rep = 0; rep < kReps; ++rep) {
+    const double simT = timeSimulated(grid, simSec, simPts);
     const double sharedT = timeExplore(grid, sharedSec, sharedPts);
-    const double stackT = timeExplore(stackGrid, stackSec, stackPts);
-    const double wbSimT = timeExplore(wbSimGrid, wbSimSec, wbSimPts);
-    const double wbStackT = timeExplore(wbStackGrid, wbStackSec, wbStackPts);
-    const double fifoSimT = timeExplore(fifoSimGrid, fifoSimSec, fifoSimPts);
+    const double wbSimT = timeSimulated(wbGrid, wbSimSec, wbSimPts);
+    const double wbStackT = timeExplore(wbGrid, wbStackSec, wbStackPts);
+    const double fifoSimT = timeSimulated(fifoGrid, fifoSimSec, fifoSimPts);
     const double fifoStackT =
-        timeExplore(fifoStackGrid, fifoStackSec, fifoStackPts);
-    const double plruSimT = timeExplore(plruSimGrid, plruSimSec, plruSimPts);
+        timeExplore(fifoGrid, fifoStackSec, fifoStackPts);
+    const double plruSimT = timeSimulated(plruGrid, plruSimSec, plruSimPts);
     const double plruStackT =
-        timeExplore(plruStackGrid, plruStackSec, plruStackPts);
-    stackRatios.push_back(sharedT / stackT);
+        timeExplore(plruGrid, plruStackSec, plruStackPts);
+    stackRatios.push_back(simT / sharedT);
     wbRatios.push_back(wbSimT / wbStackT);
     fifoRatios.push_back(fifoSimT / fifoStackT);
     plruRatios.push_back(plruSimT / plruStackT);
@@ -253,12 +263,12 @@ int main() {
   const bool ok = identical(baseline, sharedPts, "explore") &&
                   identical(baseline, parPts, "exploreParallel") &&
                   identical(baseline, obsPts, "exploreParallel+recorder") &&
-                  identical(baseline, stackPts, "explore+stackdist") &&
+                  identical(baseline, simPts, "multisim banks") &&
                   identical(wbSimPts, wbStackPts,
                             "writeback+write-energy stackdist") &&
                   identical(fifoSimPts, fifoStackPts, "fifo policy grid") &&
                   identical(plruSimPts, plruStackPts, "plru policy grid") &&
-                  wbAutoIsStackDist && gridAutoIsStackDist;
+                  allAnalytic;
   const double n = static_cast<double>(keys.size());
   const double speedup = baseSec / sharedSec;
   auto medianOf = [](std::vector<double> v) {
@@ -279,8 +289,10 @@ int main() {
               parSec, n / parSec, baseSec / parSec);
   std::printf("para. + report sink: %8.3f s  (%9.1f points/s)  %+.1f%% overhead\n",
               obsSec, n / obsSec, overheadPct);
-  std::printf("stackdist backend  : %8.3f s  (%9.1f points/s)  %.2fx vs multisim\n",
-              stackSec, n / stackSec, backendSpeedup);
+  std::printf("multisim banks     : %8.3f s  (%9.1f points/s)\n", simSec,
+              n / simSec);
+  std::printf("stackdist (serial) : %8.3f s  (%9.1f points/s)  %.2fx vs multisim\n",
+              sharedSec, n / sharedSec, backendSpeedup);
   std::printf("wb+energy multisim : %8.3f s  (%9.1f points/s)\n", wbSimSec,
               n / wbSimSec);
   std::printf("wb+energy stackdist: %8.3f s  (%9.1f points/s)  %.2fx vs multisim\n",
@@ -295,20 +307,19 @@ int main() {
               plruStackSec, n / plruStackSec, plruBackendSpeedup);
   std::printf("bit-identical      : %s\n", ok ? "yes" : "NO");
 
-  // Budgets: the analytic backend must earn its keep on an LRU-only
-  // sweep — both on the read-only metric and on the write-back +
-  // write-energy sweep it newly serves — and the report sink must stay
+  // Budgets: the analytic engine must earn its keep over per-config
+  // simulation on every sweep it serves, and the report sink must stay
   // in the noise (absolute guard for sub-100ms runs where one scheduler
   // blip is a large percentage).
   const bool fastEnough =
       backendSpeedup >= 2.0 && wbBackendSpeedup >= 2.0 &&
       fifoBackendSpeedup >= 2.0 && plruBackendSpeedup >= 2.0;
   if (backendSpeedup < 2.0) {
-    std::cerr << "BUDGET: stackdist backend speedup " << backendSpeedup
+    std::cerr << "BUDGET: stackdist speedup " << backendSpeedup
               << "x is below the 2x floor\n";
   }
   if (wbBackendSpeedup < 2.0) {
-    std::cerr << "BUDGET: write-back stackdist backend speedup "
+    std::cerr << "BUDGET: write-back stackdist speedup "
               << wbBackendSpeedup << "x is below the 2x floor\n";
   }
   if (fifoBackendSpeedup < 2.0) {
@@ -335,8 +346,8 @@ int main() {
        << ", \"shared_points_per_sec\": " << n / sharedSec
        << ", \"parallel_points_per_sec\": " << n / parSec
        << ", \"instrumented_points_per_sec\": " << n / obsSec
-       << ", \"stackdist_seconds\": " << stackSec
-       << ", \"stackdist_points_per_sec\": " << n / stackSec
+       << ", \"multisim_seconds\": " << simSec
+       << ", \"multisim_points_per_sec\": " << n / simSec
        << ", \"writeback_multisim_seconds\": " << wbSimSec
        << ", \"writeback_multisim_points_per_sec\": " << n / wbSimSec
        << ", \"writeback_stackdist_seconds\": " << wbStackSec

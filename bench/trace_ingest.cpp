@@ -1,11 +1,13 @@
 // Out-of-core trace ingestion gate: generates a large synthetic .din.gz
 // on disk, then
-//   1. streams a materializable prefix through both sweep backends and
-//      asserts the results are bit-identical to the in-memory Trace
-//      path (windowing included),
-//   2. times decode-only draining and full streamed sweeps over the
-//      whole compressed file (StackDist and MultiSim backends, one
-//      instrumented run with the obs sink attached),
+//   1. streams a materializable prefix through the trace sweep on both
+//      engines (LRU analytic, Random simulated) and asserts the results
+//      are bit-identical to the in-memory Trace path and to a
+//      MultiCacheSim bank driven directly over the prefix (windowing
+//      included),
+//   2. times decode-only draining, a full streamed LRU sweep (analytic,
+//      with the obs sink attached) and a streamed single-config
+//      simulation over the whole compressed file,
 //   3. asserts peak RSS stays under a fixed budget independent of the
 //      trace length — the point of the chunked pipeline.
 // Writes BENCH_trace_ingest.json (+ BENCH_trace_ingest_trace.json
@@ -30,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "memx/cachesim/multi_sim.hpp"
 #include "memx/core/trace_explorer.hpp"
 #include "memx/obs/recorder.hpp"
 #include "memx/trace/din_io.hpp"
@@ -83,15 +86,40 @@ private:
   std::mt19937_64 rng_{0x1234abcd};
 };
 
-ExploreOptions sweepOptions(SweepBackend backend) {
+ExploreOptions sweepOptions(
+    ReplacementPolicy replacement = ReplacementPolicy::LRU) {
   ExploreOptions options;
   options.ranges.minCacheBytes = 64;
   options.ranges.maxCacheBytes = 1024;
   options.ranges.minLineBytes = 8;
   options.ranges.maxLineBytes = 32;
   options.ranges.maxAssociativity = 2;
-  options.backend = backend;
+  options.replacement = replacement;
   return options;
+}
+
+/// The simulating side of the engine comparison: every sweep config in
+/// one MultiCacheSim bank over the in-memory trace, folded through the
+/// same point model.
+ExplorationResult simulatedSweep(const Trace& trace,
+                                 const ExploreOptions& options) {
+  ExploreOptions o = options;
+  o.ranges.sweepTiling = false;
+  const Explorer grid(o);
+  std::vector<CacheConfig> configs;
+  for (const ConfigKey& key : grid.sweepKeys()) {
+    configs.push_back(grid.configFor(key));
+  }
+  MultiCacheSim bank(configs);
+  bank.run(trace);
+  const double addBs = grid.addrActivityFor(trace);
+  ExplorationResult result;
+  result.workload = "w";
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    result.points.push_back(
+        grid.makePoint(configs[i], 1, bank.stats(i), addBs));
+  }
+  return result;
 }
 
 bool identicalPoints(const ExplorationResult& a, const ExplorationResult& b,
@@ -170,8 +198,9 @@ int main() {
 
   bool ok = true;
 
-  // --- Phase B: streamed == materialized on a prefix small enough to
-  // hold in memory, for both backends, trivial and shifted windows.
+  // --- Phase B: streamed == materialized == directly simulated on a
+  // prefix small enough to hold in memory, on both engines, trivial and
+  // shifted windows.
   const std::uint64_t prefixRefs = std::min<std::uint64_t>(totalRefs, 500'000);
   Trace prefix;
   {
@@ -179,17 +208,21 @@ int main() {
     WindowedSource head(source, TraceWindow{0, 0, prefixRefs});
     prefix = drain(head);
   }
-  for (const SweepBackend backend :
-       {SweepBackend::StackDist, SweepBackend::MultiSim}) {
-    const ExploreOptions options = sweepOptions(backend);
+  for (const ReplacementPolicy rp :
+       {ReplacementPolicy::LRU, ReplacementPolicy::Random}) {
+    const ExploreOptions options = sweepOptions(rp);
     const ExplorationResult inMemory = exploreTrace("w", prefix, options);
     FileTraceSource source(path);
     const ExplorationResult streamed = exploreTrace(
         "w", source, options, TraceWindow{0, 0, prefixRefs});
-    const char* label = backend == SweepBackend::StackDist
-                            ? "prefix stackdist"
-                            : "prefix multisim";
-    ok = identicalPoints(streamed, inMemory, label) && ok;
+    const bool lru = rp == ReplacementPolicy::LRU;
+    ok = identicalPoints(streamed, inMemory,
+                         lru ? "prefix lru" : "prefix random") &&
+         ok;
+    ok = identicalPoints(streamed, simulatedSweep(prefix, options),
+                         lru ? "prefix lru vs multisim bank"
+                             : "prefix random vs multisim bank") &&
+         ok;
   }
   {
     // Windowed: skip + limit must equal the in-memory subrange.
@@ -197,8 +230,8 @@ int main() {
     const std::uint64_t limit = prefixRefs / 2;
     Trace sub;
     for (std::uint64_t i = skip; i < skip + limit; ++i) sub.push(prefix[i]);
-    const ExploreOptions options = sweepOptions(SweepBackend::StackDist);
-    const ExplorationResult inMemory = exploreTrace("w", sub, options);
+    const ExploreOptions options = sweepOptions();
+    const ExplorationResult inMemory = simulatedSweep(sub, options);
     FileTraceSource source(path);
     const ExplorationResult streamed = exploreTrace(
         "w", source, options, TraceWindow{skip, 0, limit});
@@ -225,16 +258,17 @@ int main() {
     ok = false;
   }
 
-  // --- Phase D: full streamed sweeps through both backends; the
-  // StackDist run carries the obs sink (counters + ingest spans).
+  // --- Phase D: a full streamed LRU sweep (analytic) carrying the obs
+  // sink (counters + ingest spans), and a streamed single-config
+  // simulation.
   obs::Recorder recorder;
   const auto tStack0 = clock::now();
   std::uint64_t stackAccesses = 0;
   {
     FileTraceSource source(path);
     const ExplorationResult result =
-        exploreTrace("ingest", source, sweepOptions(SweepBackend::StackDist),
-                     TraceWindow{}, kDefaultTraceChunkRefs, &recorder);
+        exploreTrace("ingest", source, sweepOptions(), TraceWindow{},
+                     kDefaultTraceChunkRefs, &recorder);
     stackAccesses = result.points.empty() ? 0 : result.points[0].accesses;
   }
   const double stackSec = seconds(tStack0, clock::now());
@@ -251,8 +285,7 @@ int main() {
     cache.lineBytes = 16;
     cache.associativity = 2;
     FileTraceSource source(path);
-    const DesignPoint p = evaluateTracePoint(
-        source, cache, sweepOptions(SweepBackend::MultiSim));
+    const DesignPoint p = evaluateTracePoint(source, cache, sweepOptions());
     simAccesses = p.accesses;
   }
   const double simSec = seconds(tSim0, clock::now());

@@ -18,26 +18,6 @@
 
 namespace memx {
 
-std::string toString(SweepBackend backend) {
-  switch (backend) {
-    case SweepBackend::Auto:
-      return "auto";
-    case SweepBackend::MultiSim:
-      return "multisim";
-    case SweepBackend::StackDist:
-      return "stackdist";
-  }
-  return "auto";
-}
-
-SweepBackend parseSweepBackend(const std::string& name) {
-  if (name == "auto") return SweepBackend::Auto;
-  if (name == "multisim") return SweepBackend::MultiSim;
-  if (name == "stackdist") return SweepBackend::StackDist;
-  throw ContractViolation("unknown sweep backend \"" + name +
-                          "\" (expected auto, multisim or stackdist)");
-}
-
 std::string canonicalRangesKey(const ExploreRanges& r) {
   std::string key;
   key.reserve(128);
@@ -95,16 +75,11 @@ std::string canonicalModelKey(const ExploreOptions& options) {
   u("wenergy", options.includeWriteEnergy ? 1 : 0);
   key += "wp=" + toString(options.writePolicy) + ";";
   key += "repl=" + toString(options.replacement) + ";";
-  // Auto collapses to its resolution so an Auto run and the equivalent
-  // forced run share cache entries (their points are bit-identical by
-  // the golden forced-backend equality gates).
-  SweepBackend backend = options.backend;
-  if (backend == SweepBackend::Auto) {
-    backend = options.replacement != ReplacementPolicy::Random
-                  ? SweepBackend::StackDist
-                  : SweepBackend::MultiSim;
-  }
-  key += "backend=" + toString(backend);
+  // The engine suffix follows from repl= alone; it stays in the text so
+  // keys (and the cache_key digests served from them) keep their bytes.
+  key += options.replacement == ReplacementPolicy::Random
+             ? "backend=multisim"
+             : "backend=stackdist";
   return key;
 }
 
@@ -270,36 +245,6 @@ Explorer::Explorer(ExploreOptions options)
     : options_(std::move(options)), cycleModel_(options_.timing) {
   options_.ranges.validate();
   options_.energy.validate();
-  MEMX_EXPECTS(options_.backend != SweepBackend::StackDist ||
-                   stackDistEligible(),
-               "SweepBackend::StackDist requires LRU, FIFO or TreePLRU "
-               "replacement (Random draws from a simulator-owned rng "
-               "stream; write policy and includeWriteEnergy are "
-               "unrestricted — dirty accounting makes write-back "
-               "writeback counts exact for every analytic policy); use "
-               "SweepBackend::Auto to fall back to simulation");
-}
-
-bool Explorer::stackDistEligible() const noexcept {
-  // configFor() always leaves allocatePolicy at WriteAllocate, so the
-  // replacement policy is the whole domain check: LRU sweeps read a
-  // Hill-Smith stack-distance profile, FIFO and tree-PLRU sweeps read
-  // a single-pass policy-grid profile, and only Random (whose victims
-  // come from a simulator-owned rng stream) must simulate. Every
-  // statistic the models read is exact for both write policies:
-  // write-through memWrites are one word store per write probe, and
-  // write-back writebacks fall out of each profile's dirty accounting,
-  // so includeWriteEnergy never forces simulation.
-  return options_.replacement != ReplacementPolicy::Random;
-}
-
-SweepBackend Explorer::resolvedBackend() const noexcept {
-  if (options_.backend == SweepBackend::MultiSim) return SweepBackend::MultiSim;
-  if (options_.backend == SweepBackend::StackDist) {
-    return SweepBackend::StackDist;  // eligibility enforced at construction
-  }
-  return stackDistEligible() ? SweepBackend::StackDist
-                             : SweepBackend::MultiSim;
 }
 
 const MemoryLayout& Explorer::layoutFor(const Kernel& kernel,
@@ -418,9 +363,17 @@ SweepPlan Explorer::planSweep(const Kernel& kernel,
   SweepPlan plan;
   plan.generation = cacheGeneration_;
   plan.keys = std::move(keys);
-  // Policies are run-global, so every group of this plan resolves to the
-  // same engine; stamping each group keeps evaluateGroup self-contained.
-  const SweepBackend backend = resolvedBackend();
+  // The replacement policy picks the engine: Random victims come from a
+  // per-cache rng stream, so Random simulates; LRU reads a Hill-Smith
+  // stack-distance profile and FIFO/tree-PLRU the single-pass policy
+  // grid, both exact under either write policy (dirty accounting gives
+  // the write-back writebacks). Policies are run-global, so every group
+  // gets the same engine; stamping each keeps evaluateGroup
+  // self-contained.
+  const SweepBackend backend =
+      options_.replacement != ReplacementPolicy::Random
+          ? SweepBackend::StackDist
+          : SweepBackend::MultiSim;
   // Tiled variants used only to certify layouts; the trace-generating
   // tiling happens later, once per pattern.
   std::map<std::uint32_t, Kernel> tiledProbes;

@@ -17,12 +17,12 @@
 // so explore() groups the (T, L, S, B) grid by (B, layout signature),
 // generates each distinct trace once (cached in a TraceCache keyed like
 // the layout memo), and evaluates every configuration of a group against
-// the shared immutable trace in a single pass. Two backends exist for
-// that pass: a MultiCacheSim bank (simulates every config; any policy)
-// and StackDistSim (one stack-distance profile per line size serves all
-// (T, S) at once; LRU/write-allocate only). SweepBackend::Auto picks
-// StackDist whenever the run's policies allow it. Results are
-// bit-identical to evaluating each point in isolation either way.
+// the shared immutable trace in a single pass. The replacement policy
+// picks the engine for that pass: Random replacement simulates every
+// config in a MultiCacheSim bank (its victims come from a per-cache rng
+// stream), every other policy is analytic (StackDistSim: one profile per
+// line size serves all (T, S) at once). Results are bit-identical to
+// evaluating each point in isolation either way.
 #pragma once
 
 #include <cstdint>
@@ -67,27 +67,17 @@ struct ExploreRanges {
   void validate() const;
 };
 
-/// How sweep groups evaluate their configurations against the shared
-/// trace.
+/// The engine a sweep group runs on, fixed by the replacement policy
+/// at planSweep time (see SweepPlan::Group::backend).
 enum class SweepBackend : std::uint8_t {
-  /// Pick per run: StackDist when the configured policies are in the
-  /// stack-distance domain, MultiSim otherwise.
-  Auto,
-  /// Simulate every configuration (MultiCacheSim bank). Always exact,
-  /// cost scales with the number of configurations.
+  /// Simulate every configuration (MultiCacheSim bank): Random
+  /// replacement, whose victims come from a simulator-owned rng stream.
   MultiSim,
-  /// Stack-distance analysis (StackDistSim): one profile per line size
-  /// serves every (T, S) at once. Exact for LRU/write-allocate under
-  /// both write policies (dirty-stack accounting covers write-back); an
-  /// Explorer constructed with this backend forced outside that domain
-  /// throws.
+  /// Single-pass analytic profiles (StackDistSim): LRU stack distances
+  /// or the FIFO/tree-PLRU policy grid serve every (T, S) of a line
+  /// size at once, exact under both write policies.
   StackDist,
 };
-
-[[nodiscard]] std::string toString(SweepBackend backend);
-/// Parse "auto" / "multisim" / "stackdist" (case-sensitive); throws
-/// memx::ContractViolation on anything else.
-[[nodiscard]] SweepBackend parseSweepBackend(const std::string& name);
 
 /// Everything that parameterizes an exploration run.
 struct ExploreOptions {
@@ -105,10 +95,6 @@ struct ExploreOptions {
   bool includeWriteEnergy = false;
   WritePolicy writePolicy = WritePolicy::WriteBack;
   ReplacementPolicy replacement = ReplacementPolicy::LRU;
-  /// Sweep evaluation engine; Auto resolves per run (see
-  /// Explorer::resolvedBackend). Forcing StackDist with options outside
-  /// its domain is rejected at Explorer construction.
-  SweepBackend backend = SweepBackend::Auto;
 };
 
 /// Stable text form of the sweep bounds alone. Part of
@@ -118,11 +104,9 @@ struct ExploreOptions {
 [[nodiscard]] std::string canonicalRangesKey(const ExploreRanges& ranges);
 
 /// Stable text form of everything in `options` *except* the ranges:
-/// energy and timing coefficients, layout/bus/write-energy flags,
-/// policies, and the *resolved* backend (Auto collapses to what it
-/// would pick, so an Auto run and the equivalent forced run share one
-/// key). Equal model keys mean any sweep key visited by both runs gets
-/// the bit-identical point.
+/// energy and timing coefficients, layout/bus/write-energy flags and
+/// policies. Equal model keys mean any sweep key visited by both runs
+/// gets the bit-identical point.
 [[nodiscard]] std::string canonicalModelKey(const ExploreOptions& options);
 
 /// canonicalRangesKey + canonicalModelKey: everything in `options` that
@@ -238,7 +222,8 @@ struct SweepPlan {
     /// Layout-memo generation at planning time; checked by
     /// buildGroupTrace/evaluateGroup against the owning Explorer.
     std::uint64_t generation = 0;
-    /// Evaluation engine resolved at planSweep time (never Auto).
+    /// Engine planSweep chose: MultiSim for Random replacement,
+    /// StackDist for every other policy.
     SweepBackend backend = SweepBackend::MultiSim;
   };
 
@@ -273,9 +258,9 @@ public:
   /// single-level (T, L, S, B) range with its configured policies and
   /// layout choice; SearchOptions::space widens it to joint
   /// policy/layout/L2 spaces. Evaluations route through the same
-  /// planSweep machinery as explore(), so fronts are bit-identical
-  /// across sweep backends and deterministic per seed. Defined in
-  /// memx/search (link memx_search or the umbrella `memx` target).
+  /// planSweep machinery as explore(), so fronts are deterministic per
+  /// seed. Defined in memx/search (link memx_search or the umbrella
+  /// `memx` target).
   [[nodiscard]] search::SearchResult searchPareto(
       const Kernel& kernel, const search::SearchOptions& options) const;
 
@@ -283,8 +268,9 @@ public:
   [[nodiscard]] std::vector<ConfigKey> sweepKeys() const;
 
   /// Partition `keys` into trace groups (computing and memoizing the
-  /// layouts). Serial; the returned plan can then be evaluated group by
-  /// group, concurrently if desired.
+  /// layouts) and pick each group's engine from the replacement policy.
+  /// Serial; the returned plan can then be evaluated group by group,
+  /// concurrently if desired.
   [[nodiscard]] SweepPlan planSweep(const Kernel& kernel,
                                     std::vector<ConfigKey> keys) const;
 
@@ -295,31 +281,27 @@ public:
                                       const SweepPlan::Group& group,
                                       PatternCache& patterns) const;
 
-  /// Evaluate every key of `group` against its shared trace in one
-  /// MultiCacheSim pass, writing results into `out` at the keys'
+  /// Evaluate every key of `group` against its shared trace in one pass
+  /// of the group's engine, writing results into `out` at the keys'
   /// positions. Touches no mutable Explorer state (thread-safe).
   void evaluateGroup(const SweepPlan::Group& group, const Trace& trace,
                      double addrActivity,
                      const std::vector<ConfigKey>& keys,
                      std::vector<DesignPoint>& out) const;
 
-  /// True iff the configured policies are in the analytic domain:
-  /// LRU, FIFO or TreePLRU replacement (configFor always uses
-  /// write-allocate fills); only Random must simulate. Write policy
-  /// and includeWriteEnergy are unrestricted — each profile's dirty
-  /// accounting yields exact write-back writeback counts, so
-  /// write-energy sweeps stay analytic too.
-  [[nodiscard]] bool stackDistEligible() const noexcept;
-
-  /// The engine sweeps will actually use: Auto resolves to StackDist
-  /// when eligible, else MultiSim; explicit choices pass through.
-  [[nodiscard]] SweepBackend resolvedBackend() const noexcept;
-
   /// Add_bs for `trace` under the configured measurement option.
   [[nodiscard]] double addrActivityFor(const Trace& trace) const;
 
   /// CacheConfig for a sweep key with this run's policies applied.
   [[nodiscard]] CacheConfig configFor(const ConfigKey& key) const;
+
+  /// Fold simulated stats into a DesignPoint via the paper's cycle and
+  /// energy models, with write energy and leakage as configured: the
+  /// one point model every sweep, trace and per-point path shares.
+  [[nodiscard]] DesignPoint makePoint(const CacheConfig& config,
+                                      std::uint32_t tiling,
+                                      const CacheStats& stats,
+                                      double addBs) const;
 
   /// Drop the memoized layouts and traces and bump the cache
   /// generation: outstanding SweepPlans become stale and every
@@ -367,13 +349,6 @@ private:
   const TraceEntry& traceFor(const Kernel& kernel,
                              const SweepPlan::Group& group,
                              PatternCache& patterns) const;
-
-  /// Fold simulated stats into a DesignPoint via the paper's cycle and
-  /// energy models (the shared tail of both evaluation paths).
-  [[nodiscard]] DesignPoint makePoint(const CacheConfig& config,
-                                      std::uint32_t tiling,
-                                      const CacheStats& stats,
-                                      double addBs) const;
 
   ExploreOptions options_;
   CycleModel cycleModel_;

@@ -4,25 +4,10 @@
 #include "memx/cachesim/cache_sim.hpp"
 #include "memx/cachesim/multi_sim.hpp"
 #include "memx/stackdist/stackdist_sim.hpp"
-#include "memx/timing/cycle_model.hpp"
 
 namespace memx {
 
 namespace {
-
-DesignPoint foldTracePoint(const CacheConfig& config, const CacheStats& stats,
-                           double addBs, const ExploreOptions& options,
-                           const CycleModel& cycleModel) {
-  const CacheEnergyModel energyModel(config, options.energy, addBs);
-  DesignPoint point;
-  point.key = ConfigKey{config.sizeBytes, config.lineBytes,
-                        config.associativity, 1};
-  point.accesses = stats.accesses();
-  point.missRate = stats.missRate();
-  point.cycles = cycleModel.cycles(stats, config, 1);
-  point.energyNj = energyModel.totalNj(stats);
-  return point;
-}
 
 /// Tees every delivered reference into a BusMonitor (when measuring bus
 /// activity) on its way to the replay loop, so the streamed path gets
@@ -113,59 +98,31 @@ StreamedReplay replayStreamed(Bank& bank, std::size_t members,
   return out;
 }
 
+/// The CacheConfig of `cache` under the run's write and replacement
+/// policies.
+CacheConfig withPolicies(const CacheConfig& cache,
+                         const ExploreOptions& options) {
+  cache.validate();
+  CacheConfig config = cache;
+  config.writePolicy = options.writePolicy;
+  config.replacement = options.replacement;
+  return config;
+}
+
 }  // namespace
 
 DesignPoint evaluateTracePoint(const Trace& trace, const CacheConfig& cache,
                                const ExploreOptions& options) {
-  cache.validate();
-  options.energy.validate();
-
-  CacheConfig config = cache;
-  config.writePolicy = options.writePolicy;
-  config.replacement = options.replacement;
-
-  const CacheStats stats = simulateTrace(config, trace);
-  const double addBs = options.measureBusActivity
-                           ? measureAddrActivity(trace)
-                           : kDefaultAddrSwitchesPerAccess;
-  const CycleModel cycleModel(options.timing);
-  return foldTracePoint(config, stats, addBs, options, cycleModel);
+  const Explorer model(options);  // the point model; validates
+  const CacheConfig config = withPolicies(cache, options);
+  return model.makePoint(config, 1, simulateTrace(config, trace),
+                         model.addrActivityFor(trace));
 }
 
 ExplorationResult exploreTrace(const std::string& name, const Trace& trace,
                                const ExploreOptions& options) {
-  ExploreOptions o = options;
-  o.ranges.sweepTiling = false;
-  const Explorer grid(o);  // reuse the sweep-key generator; validates
-
-  // The trace is fixed, so the whole (T, L, S) grid is one config bank:
-  // a single trace pass, with the bus activity measured once instead of
-  // per point. The bank honors the same backend resolution explore()
-  // uses (stack-distance profiles for LRU/write-allocate runs,
-  // MultiCacheSim otherwise).
-  const std::vector<ConfigKey> keys = grid.sweepKeys();
-  std::vector<CacheConfig> configs;
-  configs.reserve(keys.size());
-  for (const ConfigKey& key : keys) configs.push_back(grid.configFor(key));
-
-  ExplorationResult result;
-  result.workload = name;
-  if (keys.empty()) return result;
-
-  const std::vector<CacheStats> stats =
-      grid.resolvedBackend() == SweepBackend::StackDist
-          ? stackDistStats(configs, trace)
-          : simulateTraceMulti(configs, trace);
-  const double addBs = o.measureBusActivity
-                           ? measureAddrActivity(trace)
-                           : kDefaultAddrSwitchesPerAccess;
-  const CycleModel cycleModel(o.timing);
-  result.points.reserve(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    result.points.push_back(
-        foldTracePoint(configs[i], stats[i], addBs, o, cycleModel));
-  }
-  return result;
+  VectorTraceSource source(trace);
+  return exploreTrace(name, source, options);
 }
 
 DesignPoint evaluateTracePoint(TraceSource& source, const CacheConfig& cache,
@@ -173,12 +130,8 @@ DesignPoint evaluateTracePoint(TraceSource& source, const CacheConfig& cache,
                                const TraceWindow& window,
                                std::size_t chunkRefs,
                                obs::Recorder* recorder) {
-  cache.validate();
-  options.energy.validate();
-
-  CacheConfig config = cache;
-  config.writePolicy = options.writePolicy;
-  config.replacement = options.replacement;
+  const Explorer model(options);  // the point model; validates
+  const CacheConfig config = withPolicies(cache, options);
 
   // A one-member MultiCacheSim bank replays exactly as simulateTrace
   // does (same default seed), so the trivial-window result matches the
@@ -190,8 +143,7 @@ DesignPoint evaluateTracePoint(TraceSource& source, const CacheConfig& cache,
   const double addBs = options.measureBusActivity
                            ? replay.addBs
                            : kDefaultAddrSwitchesPerAccess;
-  const CycleModel cycleModel(options.timing);
-  return foldTracePoint(config, replay.stats[0], addBs, options, cycleModel);
+  return model.makePoint(config, 1, replay.stats[0], addBs);
 }
 
 ExplorationResult exploreTrace(const std::string& name, TraceSource& source,
@@ -200,8 +152,8 @@ ExplorationResult exploreTrace(const std::string& name, TraceSource& source,
                                std::size_t chunkRefs,
                                obs::Recorder* recorder) {
   ExploreOptions o = options;
-  o.ranges.sweepTiling = false;
-  const Explorer grid(o);  // reuse the sweep-key generator; validates
+  o.ranges.sweepTiling = false;  // a fixed trace has no tiling to sweep
+  const Explorer grid(o);  // sweep keys, configs and the point model
 
   const std::vector<ConfigKey> keys = grid.sweepKeys();
   std::vector<CacheConfig> configs;
@@ -212,13 +164,15 @@ ExplorationResult exploreTrace(const std::string& name, TraceSource& source,
   result.workload = name;
   if (keys.empty()) return result;
 
-  // One bank, one pass over the stream, same backend resolution as the
-  // Trace overload. The two bank types share the run/stats interface,
-  // so one driver serves both. The work counters match
+  // The trace is fixed, so the whole (T, L, S) grid is one bank and one
+  // pass over the stream, with the bus activity measured in the same
+  // pass. The engine follows planSweep's rule: Random simulates, every
+  // other policy is analytic. The two bank types share the run/stats
+  // interface, so one driver serves both. The work counters match
   // Explorer::evaluateGroup's, over every replayed reference (warmup
   // included: the bank does that work too).
   StreamedReplay replay;
-  if (grid.resolvedBackend() == SweepBackend::StackDist) {
+  if (o.replacement != ReplacementPolicy::Random) {
     StackDistSim bank(configs);
     replay = replayStreamed(bank, configs.size(), source, window,
                             o.measureBusActivity, chunkRefs, recorder);
@@ -241,11 +195,10 @@ ExplorationResult exploreTrace(const std::string& name, TraceSource& source,
   }
   const double addBs = o.measureBusActivity ? replay.addBs
                                             : kDefaultAddrSwitchesPerAccess;
-  const CycleModel cycleModel(o.timing);
   result.points.reserve(keys.size());
   for (std::size_t i = 0; i < keys.size(); ++i) {
     result.points.push_back(
-        foldTracePoint(configs[i], replay.stats[i], addBs, o, cycleModel));
+        grid.makePoint(configs[i], 1, replay.stats[i], addBs));
   }
   return result;
 }

@@ -3,6 +3,9 @@
 // The kernel-based Explorer regenerates traces per tiling/layout; this
 // entry point sweeps (T, L, S) over a trace that already exists — an
 // instruction-fetch stream, a Dinero file, or any recorded workload.
+// Every path folds its statistics through Explorer::makePoint, so trace
+// points see the same cycle and energy models as kernel sweeps,
+// write energy and leakage included.
 #pragma once
 
 #include <string>
@@ -15,13 +18,15 @@
 namespace memx {
 
 /// Evaluate one cache configuration against a fixed trace using the
-/// paper's cycle and energy models (tiling term B = 1).
+/// paper's cycle and energy models (tiling term B = 1). The per-point
+/// oracle of the sweeps below: one CacheSim::run, no bank.
 [[nodiscard]] DesignPoint evaluateTracePoint(const Trace& trace,
                                              const CacheConfig& cache,
                                              const ExploreOptions& options);
 
 /// Sweep every (T, L, S) of `options.ranges` over `trace`. Tiling is not
-/// applicable to a fixed trace; all points carry B = 1.
+/// applicable to a fixed trace; all points carry B = 1. Runs the
+/// streamed overload over a VectorTraceSource.
 [[nodiscard]] ExplorationResult exploreTrace(const std::string& name,
                                              const Trace& trace,
                                              const ExploreOptions& options);
@@ -48,16 +53,17 @@ namespace memx {
 // included, times passes) or `sim.accesses` (replayed references times
 // configurations).
 
-/// Streamed single-configuration evaluation (simulation backend).
+/// Streamed single-configuration evaluation (a one-member
+/// MultiCacheSim bank).
 [[nodiscard]] DesignPoint evaluateTracePoint(
     TraceSource& source, const CacheConfig& cache,
     const ExploreOptions& options, const TraceWindow& window = {},
     std::size_t chunkRefs = kDefaultTraceChunkRefs,
     obs::Recorder* recorder = nullptr);
 
-/// Streamed (T, L, S) sweep. Honors the same backend resolution as the
-/// Trace overload: one stack-distance pass for LRU/write-allocate
-/// sweeps, a MultiCacheSim bank otherwise.
+/// Streamed (T, L, S) sweep: one pass over the stream through one bank,
+/// picked like planSweep picks a group's engine — a MultiCacheSim bank
+/// for Random replacement, analytic profiles for every other policy.
 [[nodiscard]] ExplorationResult exploreTrace(
     const std::string& name, TraceSource& source,
     const ExploreOptions& options, const TraceWindow& window = {},

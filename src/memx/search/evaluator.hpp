@@ -3,8 +3,8 @@
 // Fresh genomes are grouped by their (replacement, write policy,
 // layout) combo — the run-global knobs of an Explorer — and each
 // combo's batch rides the existing planSweep / buildGroupTrace /
-// evaluateGroup machinery, so LRU combos are served analytically by
-// the StackDist backend and every combo shares traces across
+// evaluateGroup machinery, so every combo but Random is served
+// analytically and every combo shares traces across
 // generations through a per-combo trace cache. Two-level genomes reuse
 // the same shared group trace and go through evaluateHierarchyPoint.
 //
@@ -40,10 +40,8 @@ namespace memx::search {
 class SearchEvaluator {
 public:
   /// `base` supplies everything the space does not sweep: energy and
-  /// timing models, bus-activity measurement, write-energy accounting
-  /// and the sweep backend. A forced MultiSim backend is honored
-  /// everywhere; Auto (and a forced StackDist) resolve per combo, so
-  /// LRU combos stay analytic while others simulate.
+  /// timing models, bus-activity measurement and write-energy
+  /// accounting. Each combo's replacement policy picks its engine.
   SearchEvaluator(Kernel kernel, const DesignSpace& space,
                   ExploreOptions base, obs::Recorder* recorder = nullptr);
 

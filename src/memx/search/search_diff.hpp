@@ -50,8 +50,7 @@ inline constexpr std::size_t kSearchShrinkSteps = 8;
 bool applySearchShrinkStep(DesignSpaceOptions& space, std::size_t step);
 
 /// Generate the case for `seed`: kernel from randomStencilKernel, a
-/// seed-derived joint space capped at 512 genomes, and the sweep
-/// backend alternating Auto / forced-MultiSim with seed parity.
+/// seed-derived joint space capped at 512 genomes.
 [[nodiscard]] SearchDiffCase makeSearchDiffCase(std::uint64_t seed);
 
 /// One-line reproduction header for `c`. Every failure message starts

@@ -15,9 +15,9 @@
 // makes large sweeps cheap.
 //
 // LRU, FIFO and tree-PLRU replacement with write-allocate fills are in
-// the analysis' domain (supports() is the eligibility predicate
-// Explorer uses to pick a backend); only Random replacement remains
-// simulation-bound. Both write policies are exact, including
+// the analysis' domain (supports() is what the constructor checks;
+// Explorer::planSweep sends every non-Random sweep here); only Random
+// replacement remains simulation-bound. Both write policies are exact, including
 // write-back dirty-eviction counts — see AllAssocProfile's dirty-stack
 // accounting and PolicyGridProfile's per-cell dirty bits.
 #pragma once

@@ -217,63 +217,13 @@ TEST_P(PropertySweep, StackDistMissesMonotoneInCacheSizeAtFixedWays) {
   }
 }
 
-// --- PR-5 engine contract: forcing the StackDist backend produces a
-// bit-identical ExplorationResult to forcing MultiCacheSim, on the same
-// workloads the golden corpus pins (so any drift is double-caught).
-TEST(Properties, StackDistBackendBitIdenticalToMultiSimOnGoldenCorpus) {
-  ExploreOptions options;
-  options.ranges.onChipBytes = 256;
-  options.ranges.maxCacheBytes = 256;
-  options.ranges.minCacheBytes = 16;
-  options.ranges.minLineBytes = 4;
-  options.ranges.maxLineBytes = 32;
-  options.ranges.maxAssociativity = 4;
-  options.ranges.maxTiling = 4;
-
-  const Kernel kernels[] = {compressKernel(), matrixAddKernel(8),
-                            dequantKernel(16), transposeKernel(16)};
-  // The write-energy metric reads memWrites and writebacks, so the
-  // second pass (write-back + includeWriteEnergy, newly analytic via
-  // dirty-stack accounting) pins the writeback counts bit-for-bit
-  // through the energy totals; the first is the paper's read-only model.
-  for (const bool writeEnergy : {false, true}) {
-    options.includeWriteEnergy = writeEnergy;
-    options.writePolicy = WritePolicy::WriteBack;
-    ExploreOptions stackOptions = options;
-    stackOptions.backend = SweepBackend::StackDist;
-    ExploreOptions simOptions = options;
-    simOptions.backend = SweepBackend::MultiSim;
-
-    for (const Kernel& kernel : kernels) {
-      const ExplorationResult analytic =
-          Explorer(stackOptions).explore(kernel);
-      const ExplorationResult simulated =
-          Explorer(simOptions).explore(kernel);
-      ASSERT_EQ(analytic.points.size(), simulated.points.size());
-      ASSERT_FALSE(analytic.points.empty());
-      for (std::size_t i = 0; i < analytic.points.size(); ++i) {
-        const DesignPoint& a = analytic.points[i];
-        const DesignPoint& s = simulated.points[i];
-        ASSERT_EQ(a.key, s.key) << kernel.name;
-        EXPECT_EQ(a.accesses, s.accesses)
-            << kernel.name << " " << a.label();
-        // Bit-identical, not approximately equal.
-        EXPECT_EQ(a.missRate, s.missRate)
-            << kernel.name << " " << a.label();
-        EXPECT_EQ(a.cycles, s.cycles) << kernel.name << " " << a.label();
-        EXPECT_EQ(a.energyNj, s.energyNj)
-            << kernel.name << " writeEnergy=" << writeEnergy << " "
-            << a.label();
-      }
-    }
-  }
-}
-
-// The same golden-corpus bit-equality contract for the policy-grid
-// engine: forcing StackDist on FIFO and tree-PLRU sweeps must produce
-// results indistinguishable from MultiCacheSim, point by point, with
-// write-back dirty accounting exercised through the energy totals.
-TEST(Properties, GridBackendBitIdenticalToMultiSimOnGoldenCorpus) {
+// --- Engine contract on the workloads the golden corpus pins (so any
+// drift is double-caught): explore() — analytic for LRU, FIFO and
+// tree-PLRU, a MultiCacheSim bank for Random — matches per-key
+// Explorer::evaluate (one CacheSim::run per point) bit for bit. Every
+// run is write-back, with and without write-energy accounting, so the
+// energy totals embed each engine's writeback counts.
+void expectSweepBitIdenticalToPerPointEvaluate(ReplacementPolicy rp) {
   ExploreOptions options;
   options.ranges.onChipBytes = 256;
   options.ranges.maxCacheBytes = 256;
@@ -283,90 +233,89 @@ TEST(Properties, GridBackendBitIdenticalToMultiSimOnGoldenCorpus) {
   options.ranges.maxAssociativity = 4;
   options.ranges.maxTiling = 4;
   options.writePolicy = WritePolicy::WriteBack;
+  options.replacement = rp;
 
   const Kernel kernels[] = {compressKernel(), matrixAddKernel(8),
                             dequantKernel(16), transposeKernel(16)};
-  for (const ReplacementPolicy rp :
-       {ReplacementPolicy::FIFO, ReplacementPolicy::TreePLRU}) {
-    options.replacement = rp;
+  for (const bool writeEnergy : {false, true}) {
+    options.includeWriteEnergy = writeEnergy;
+    const Explorer explorer(options);
+    for (const Kernel& kernel : kernels) {
+      const ExplorationResult swept = explorer.explore(kernel);
+      ASSERT_FALSE(swept.points.empty());
+      for (const DesignPoint& a : swept.points) {
+        const DesignPoint s = explorer.evaluate(
+            kernel, explorer.configFor(a.key), a.key.tiling);
+        ASSERT_EQ(a.key, s.key) << kernel.name;
+        EXPECT_EQ(a.accesses, s.accesses)
+            << toString(rp) << " " << kernel.name << " " << a.label();
+        // Bit-identical, not approximately equal: any drift prints
+        // the per-point delta through the gtest failure message.
+        EXPECT_EQ(a.missRate, s.missRate)
+            << toString(rp) << " " << kernel.name << " " << a.label();
+        EXPECT_EQ(a.cycles, s.cycles)
+            << toString(rp) << " " << kernel.name << " " << a.label();
+        EXPECT_EQ(a.energyNj, s.energyNj)
+            << toString(rp) << " " << kernel.name << " writeEnergy="
+            << writeEnergy << " " << a.label();
+      }
+    }
+  }
+}
+
+// LRU groups run the Hill-Smith stack-distance profile.
+TEST(Properties, StackDistBackendBitIdenticalToMultiSimOnGoldenCorpus) {
+  expectSweepBitIdenticalToPerPointEvaluate(ReplacementPolicy::LRU);
+}
+
+// FIFO and tree-PLRU groups run the single-pass policy grid.
+TEST(Properties, GridBackendBitIdenticalToMultiSimOnGoldenCorpus) {
+  expectSweepBitIdenticalToPerPointEvaluate(ReplacementPolicy::FIFO);
+  expectSweepBitIdenticalToPerPointEvaluate(ReplacementPolicy::TreePLRU);
+}
+
+// Random groups (victims from a simulator-owned rng stream) run a
+// MultiCacheSim bank.
+TEST(Properties, SweepBitIdenticalToPerPointEvaluateOnGoldenCorpus) {
+  expectSweepBitIdenticalToPerPointEvaluate(ReplacementPolicy::Random);
+}
+
+// The replacement policy alone picks each group's engine at planSweep
+// time: LRU reads stack distances and FIFO/tree-PLRU the single-pass
+// policy grid, under both write policies and with write energy on;
+// only Random (victims from a simulator-owned rng stream) simulates.
+TEST(Properties, PlanSweepPicksEngineByReplacementPolicy) {
+  const Kernel kernel = matrixAddKernel(8);
+  ExploreOptions options;
+  options.ranges.maxCacheBytes = 64;
+  options.ranges.maxLineBytes = 16;
+  options.ranges.maxAssociativity = 2;
+  options.ranges.maxTiling = 2;
+  options.optimizeLayout = false;
+  for (const WritePolicy wp :
+       {WritePolicy::WriteBack, WritePolicy::WriteThrough}) {
+    options.writePolicy = wp;
     for (const bool writeEnergy : {false, true}) {
       options.includeWriteEnergy = writeEnergy;
-      ExploreOptions stackOptions = options;
-      stackOptions.backend = SweepBackend::StackDist;
-      ExploreOptions simOptions = options;
-      simOptions.backend = SweepBackend::MultiSim;
-
-      for (const Kernel& kernel : kernels) {
-        const ExplorationResult analytic =
-            Explorer(stackOptions).explore(kernel);
-        const ExplorationResult simulated =
-            Explorer(simOptions).explore(kernel);
-        ASSERT_EQ(analytic.points.size(), simulated.points.size());
-        ASSERT_FALSE(analytic.points.empty());
-        for (std::size_t i = 0; i < analytic.points.size(); ++i) {
-          const DesignPoint& a = analytic.points[i];
-          const DesignPoint& s = simulated.points[i];
-          ASSERT_EQ(a.key, s.key) << kernel.name;
-          EXPECT_EQ(a.accesses, s.accesses)
-              << toString(rp) << " " << kernel.name << " " << a.label();
-          // Bit-identical, not approximately equal: any drift prints
-          // the per-point delta through the gtest failure message.
-          EXPECT_EQ(a.missRate, s.missRate)
-              << toString(rp) << " " << kernel.name << " " << a.label();
-          EXPECT_EQ(a.cycles, s.cycles)
-              << toString(rp) << " " << kernel.name << " " << a.label();
-          EXPECT_EQ(a.energyNj, s.energyNj)
-              << toString(rp) << " " << kernel.name << " writeEnergy="
-              << writeEnergy << " " << a.label();
+      for (const ReplacementPolicy rp :
+           {ReplacementPolicy::LRU, ReplacementPolicy::FIFO,
+            ReplacementPolicy::TreePLRU, ReplacementPolicy::Random}) {
+        options.replacement = rp;
+        const Explorer explorer(options);
+        const SweepPlan plan =
+            explorer.planSweep(kernel, explorer.sweepKeys());
+        ASSERT_FALSE(plan.groups.empty());
+        const SweepBackend want = rp == ReplacementPolicy::Random
+                                      ? SweepBackend::MultiSim
+                                      : SweepBackend::StackDist;
+        for (const SweepPlan::Group& group : plan.groups) {
+          EXPECT_EQ(group.backend, want)
+              << toString(rp) << " " << toString(wp)
+              << " writeEnergy=" << writeEnergy;
         }
       }
     }
   }
-}
-
-// An Explorer whose options force StackDist outside its domain must be
-// rejected at construction, not silently fall back — and the domain is
-// now "any deterministic replacement": LRU runs the Hill-Smith
-// profile, FIFO and tree-PLRU the single-pass policy grid, so only a
-// Random sweep (simulator-owned rng stream) still gates.
-TEST(Properties, ForcedStackDistBackendRejectsIneligibleOptions) {
-  ExploreOptions options;
-  options.backend = SweepBackend::StackDist;
-  options.replacement = ReplacementPolicy::Random;
-  EXPECT_THROW(Explorer{options}, ContractViolation);
-
-  // FIFO and tree-PLRU used to be rejected here; the policy-grid
-  // engine made them first-class analytic sweeps (both write policies).
-  options.replacement = ReplacementPolicy::FIFO;
-  EXPECT_EQ(Explorer(options).resolvedBackend(), SweepBackend::StackDist);
-  options.replacement = ReplacementPolicy::TreePLRU;
-  options.includeWriteEnergy = true;
-  options.writePolicy = WritePolicy::WriteBack;
-  EXPECT_EQ(Explorer(options).resolvedBackend(), SweepBackend::StackDist);
-
-  // LRU + write-back + write energy stays eligible (dirty-stack
-  // accounting), as does write-through with write energy.
-  options.replacement = ReplacementPolicy::LRU;
-  EXPECT_EQ(Explorer(options).resolvedBackend(), SweepBackend::StackDist);
-  options.writePolicy = WritePolicy::WriteThrough;
-  EXPECT_EQ(Explorer(options).resolvedBackend(), SweepBackend::StackDist);
-
-  // Auto picks the analytic backend for every deterministic policy...
-  options.backend = SweepBackend::Auto;
-  options.writePolicy = WritePolicy::WriteBack;
-  for (const ReplacementPolicy rp :
-       {ReplacementPolicy::LRU, ReplacementPolicy::FIFO,
-        ReplacementPolicy::TreePLRU}) {
-    options.replacement = rp;
-    EXPECT_TRUE(Explorer(options).stackDistEligible()) << toString(rp);
-    EXPECT_EQ(Explorer(options).resolvedBackend(), SweepBackend::StackDist)
-        << toString(rp);
-  }
-
-  // ...while Random replacement still falls back to simulation.
-  options.replacement = ReplacementPolicy::Random;
-  EXPECT_FALSE(Explorer(options).stackDistEligible());
-  EXPECT_EQ(Explorer(options).resolvedBackend(), SweepBackend::MultiSim);
 }
 
 // --- Pareto dominance and front extraction (the search engine's

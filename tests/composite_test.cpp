@@ -1,12 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <set>
-#include <string>
-
-#include "memx/core/selection.hpp"
 #include "memx/kernels/benchmarks.hpp"
 #include "memx/mpeg/composite.hpp"
 #include "memx/util/assert.hpp"
+#include "mpeg_optima.hpp"
 
 namespace memx {
 namespace {
@@ -83,34 +80,18 @@ TEST(Composite, MpegDecoderAssembles) {
 
 TEST(Composite, MpegOptimaExistAndDiffer) {
   // Section-5 headline: the composite min-energy configuration differs
-  // from the composite min-cycles configuration.
+  // from the composite min-cycles configuration. Layout certification
+  // makes the paper's range (T <= 512) take seconds, so tier 1 checks
+  // the same shape up to T = 128; test_golden_regression covers
+  // T <= 512 (Composite.MpegOptimaAtPaperRange).
   ExploreOptions o;
   o.ranges.minCacheBytes = 16;
-  o.ranges.maxCacheBytes = 512;
+  o.ranges.maxCacheBytes = 128;
   o.ranges.minLineBytes = 4;
   o.ranges.maxLineBytes = 16;
   o.ranges.maxAssociativity = 8;
   o.ranges.maxTiling = 8;
-  const CompositeProgram p = mpegDecoder();
-  const auto r = p.explore(Explorer(o));
-  const auto minE = minEnergyPoint(r.combined.points);
-  const auto minC = minCyclePoint(r.combined.points);
-  ASSERT_TRUE(minE.has_value());
-  ASSERT_TRUE(minC.has_value());
-  EXPECT_NE(minE->key, minC->key);
-  EXPECT_LE(minE->energyNj, minC->energyNj);
-  EXPECT_LE(minC->cycles, minE->cycles);
-
-  // Figure 10: different kernels prefer different corners of the design
-  // space, and none of their optima is the whole-program optimum.
-  std::set<std::string> kernelOptima;
-  for (const ExplorationResult& kernel : r.perKernel) {
-    const auto best = minEnergyPoint(kernel.points);
-    ASSERT_TRUE(best.has_value());
-    EXPECT_NE(best->key, minE->key) << kernel.workload;
-    kernelOptima.insert(best->label());
-  }
-  EXPECT_GE(kernelOptima.size(), 2u);
+  expectMpegOptimaDiffer(o);
 }
 
 }  // namespace

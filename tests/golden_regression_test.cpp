@@ -17,6 +17,7 @@
 #include "memx/core/explorer.hpp"
 #include "memx/kernels/benchmarks.hpp"
 #include "memx/report/result_io.hpp"
+#include "mpeg_optima.hpp"
 
 #ifndef MEMX_GOLDEN_DIR
 #error "MEMX_GOLDEN_DIR must point at tests/golden"
@@ -103,6 +104,21 @@ TEST(GoldenRegression, PaperKernelSweepsMatchCorpus) {
       expectClose("energy_nj", label, want.energyNj, got.energyNj);
     }
   }
+}
+
+// The Section-5 composite at the paper's range (T <= 512). Layout
+// certification makes it take seconds, so it lives in this slow binary;
+// tier 1 runs the same assertions up to T = 128
+// (Composite.MpegOptimaExistAndDiffer).
+TEST(Composite, MpegOptimaAtPaperRange) {
+  ExploreOptions o;
+  o.ranges.minCacheBytes = 16;
+  o.ranges.maxCacheBytes = 512;
+  o.ranges.minLineBytes = 4;
+  o.ranges.maxLineBytes = 16;
+  o.ranges.maxAssociativity = 8;
+  o.ranges.maxTiling = 8;
+  expectMpegOptimaDiffer(o);
 }
 
 }  // namespace

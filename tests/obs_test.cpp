@@ -352,10 +352,9 @@ TEST(ObsIntegration, ExploreWithReportIsBitIdenticalToWithout) {
   EXPECT_EQ(report.counter("trace.cache_miss"),
             report.counter("plan.groups"));
   EXPECT_GT(report.counter("trace.accesses"), 0u);
-  // Default options are LRU/write-allocate, so the sweep resolves to the
-  // stack-distance backend: the analytic workload counters replace the
-  // per-config simulation counter.
-  EXPECT_EQ(plain.resolvedBackend(), SweepBackend::StackDist);
+  // Default options are LRU, so every group runs on the stack-distance
+  // engine: the analytic workload counters replace the per-config
+  // simulation counter.
   EXPECT_EQ(report.counter("sweep.groups_stackdist"),
             report.counter("sweep.groups"));
   EXPECT_EQ(report.counter("sim.accesses"), 0u);
@@ -396,25 +395,26 @@ TEST(ObsIntegration, ParallelReportCarriesWorkerSpans) {
 
 // The streamed sweep records the same work counters as the Explorer
 // path, over every reference the bank replays: sample.din holds 112
-// references, and a 20-reference warmup is replayed work too.
+// references, and a 20-reference warmup is replayed work too. LRU runs
+// the analytic bank, Random the simulator bank.
 TEST(ObsIntegration, StreamedTraceSweepCountsReplayedWork) {
   constexpr std::uint64_t kSampleRefs = 112;
   ExploreOptions o = smallSweep();  // line sizes 4, 8, 16
-  for (const SweepBackend backend :
-       {SweepBackend::StackDist, SweepBackend::MultiSim}) {
-    o.backend = backend;
+  for (const ReplacementPolicy rp :
+       {ReplacementPolicy::LRU, ReplacementPolicy::Random}) {
+    o.replacement = rp;
     obs::Recorder recorder;
     FileTraceSource source(MEMX_SAMPLE_TRACE);
     const ExplorationResult result = exploreTrace(
         "sample", source, o, TraceWindow{0, 20, 0}, kDefaultTraceChunkRefs,
         &recorder);
     const obs::RunReport report = recorder.report();
-    SCOPED_TRACE(toString(backend));
+    SCOPED_TRACE(toString(rp));
     ASSERT_FALSE(result.points.empty());
     EXPECT_EQ(result.points.front().accesses, kSampleRefs - 20);
     EXPECT_EQ(report.counter("trace.refs_decoded"), kSampleRefs);
     EXPECT_EQ(report.counter("sweep.points"), result.points.size());
-    if (backend == SweepBackend::StackDist) {
+    if (rp == ReplacementPolicy::LRU) {
       EXPECT_EQ(report.counter("stackdist.passes"), 3u);
       EXPECT_EQ(report.counter("stackdist.accesses"), kSampleRefs * 3);
       EXPECT_EQ(report.counter("sim.accesses"), 0u);

@@ -266,25 +266,6 @@ TEST(Search, SameSeedIsBitIdenticalAcrossRuns) {
   EXPECT_EQ(a.generations, b.generations);
 }
 
-TEST(Search, SameSeedIsBitIdenticalAcrossBackends) {
-  const Kernel kernel = matrixAddKernel(6, 1);
-  SearchOptions options = quickSearch(7);
-  options.space = smallJointSpace();
-  ExploreOptions autoBackend;
-  autoBackend.backend = SweepBackend::Auto;
-  ExploreOptions multisim;
-  multisim.backend = SweepBackend::MultiSim;
-  const SearchResult a =
-      Explorer{autoBackend}.searchPareto(kernel, options);
-  const SearchResult b = Explorer{multisim}.searchPareto(kernel, options);
-  ASSERT_EQ(a.front.size(), b.front.size());
-  for (std::size_t i = 0; i < a.front.size(); ++i) {
-    EXPECT_EQ(a.front[i].genome, b.front[i].genome);
-    EXPECT_EQ(a.front[i].objectives, b.front[i].objectives)
-        << a.front[i].decoded.label();
-  }
-}
-
 TEST(Search, DifferentSeedsStayWithinBudget) {
   const Kernel kernel = matrixAddKernel(6, 1);
   const Explorer explorer{ExploreOptions{}};

@@ -111,7 +111,7 @@ TEST(Protocol, ParsesFullRequest) {
   const Request r = parseRequest(JsonValue::parse(R"({
     "id": 7, "op": "explore", "workload": "matmul",
     "options": {"em_nj": 2.5, "write_policy": "write-through",
-                "replacement": "FIFO", "backend": "multisim",
+                "replacement": "FIFO",
                 "ranges": {"max_cache_bytes": 128, "sweep_tiling": false}},
     "selection": {"metric": "min_cycles", "energy_bound": 1e6},
     "include_points": true})"));
@@ -120,7 +120,6 @@ TEST(Protocol, ParsesFullRequest) {
   EXPECT_DOUBLE_EQ(r.options.energy.emNj, 2.5);
   EXPECT_EQ(r.options.writePolicy, WritePolicy::WriteThrough);
   EXPECT_EQ(r.options.replacement, ReplacementPolicy::FIFO);
-  EXPECT_EQ(r.options.backend, SweepBackend::MultiSim);
   EXPECT_EQ(r.options.ranges.maxCacheBytes, 128u);
   EXPECT_FALSE(r.options.ranges.sweepTiling);
   EXPECT_EQ(r.metric, SelectionMetric::MinCycles);
@@ -132,25 +131,16 @@ TEST(Protocol, CanonicalKeySplitsIntoRangesAndModel) {
   ExploreOptions a;
   EXPECT_EQ(canonicalExploreKey(a),
             canonicalRangesKey(a.ranges) + canonicalModelKey(a));
-  // Auto collapses to its resolution: an Auto/LRU run shares its key
-  // with a forced-stackdist run — and so does an Auto/FIFO run now
-  // that the policy-grid backend serves FIFO/PLRU sweeps analytically.
-  // Only Random still resolves to (and keys as) the multisim backend.
-  ExploreOptions forced = a;
-  forced.backend = SweepBackend::StackDist;
-  EXPECT_EQ(canonicalExploreKey(a), canonicalExploreKey(forced));
+  // The policy moves the key. Its tail still names the engine the
+  // policy implies, so served cache_key digests keep their bytes.
   ExploreOptions fifo = a;
   fifo.replacement = ReplacementPolicy::FIFO;
-  ExploreOptions fifoForced = fifo;
-  fifoForced.backend = SweepBackend::StackDist;
-  EXPECT_EQ(canonicalExploreKey(fifo), canonicalExploreKey(fifoForced));
   EXPECT_NE(canonicalExploreKey(a), canonicalExploreKey(fifo));
   ExploreOptions rnd = a;
   rnd.replacement = ReplacementPolicy::Random;
-  ExploreOptions rndForced = rnd;
-  rndForced.backend = SweepBackend::MultiSim;
-  EXPECT_EQ(canonicalExploreKey(rnd), canonicalExploreKey(rndForced));
   EXPECT_NE(canonicalExploreKey(a), canonicalExploreKey(rnd));
+  EXPECT_TRUE(canonicalModelKey(fifo).ends_with("backend=stackdist"));
+  EXPECT_TRUE(canonicalModelKey(rnd).ends_with("backend=multisim"));
   // Model changes move the key; range changes move only the range half.
   ExploreOptions em = a;
   em.energy.emNj = 9.0;
@@ -535,6 +525,20 @@ TEST(Server, MalformedRequestsGetDiagnosticsNotCrashes) {
             std::string::npos);
   // The server carries on serving after every rejection.
   EXPECT_TRUE(okOf(response(server, R"({"id":5,"op":"ping"})")));
+}
+
+TEST(Server, BackendOptionRejectedAsUnknownField) {
+  // The replacement policy picks the sweep engine; there is no engine
+  // option left to set, so the old field is refused by name.
+  Server server;
+  const JsonValue rejected = response(
+      server, R"({"id":1,"op":"explore","workload":"matadd",)"
+              R"("options":{"backend":"multisim"}})");
+  EXPECT_FALSE(okOf(rejected));
+  EXPECT_NE(field(rejected, "error").asString().find("options.backend"),
+            std::string::npos)
+      << rejected.dump();
+  EXPECT_TRUE(okOf(response(server, R"({"id":2,"op":"ping"})")));
 }
 
 TEST(Server, HostileSearchSizeRejectedAndServerCarriesOn) {

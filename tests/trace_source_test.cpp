@@ -9,10 +9,13 @@
 #include <sstream>
 #include <string>
 
+#include "memx/cachesim/bus_monitor.hpp"
+#include "memx/cachesim/cache_sim.hpp"
 #include "memx/cachesim/multi_sim.hpp"
 #include "memx/core/trace_explorer.hpp"
 #include "memx/obs/recorder.hpp"
 #include "memx/stackdist/stackdist_sim.hpp"
+#include "memx/timing/cycle_model.hpp"
 #include "memx/trace/din_io.hpp"
 #include "memx/trace/file_source.hpp"
 #include "memx/trace/generators.hpp"
@@ -444,42 +447,70 @@ TEST(AllAssocProfile, PackedToSplitMigrationIsExact) {
 
 // --- Streamed vs materialized explorer ----------------------------------
 
-ExploreOptions smallSweep(SweepBackend backend) {
+ExploreOptions smallSweep(
+    ReplacementPolicy replacement = ReplacementPolicy::LRU) {
   ExploreOptions options;
   options.ranges.minCacheBytes = 32;
   options.ranges.maxCacheBytes = 256;
   options.ranges.maxAssociativity = 2;
-  options.backend = backend;
+  options.replacement = replacement;
   return options;
+}
+
+/// One policy per trace-sweep engine: LRU runs the analytic bank,
+/// Random the MultiCacheSim bank.
+constexpr ReplacementPolicy kEnginePolicies[] = {ReplacementPolicy::LRU,
+                                                 ReplacementPolicy::Random};
+
+void expectSamePoint(const DesignPoint& pa, const DesignPoint& pb) {
+  EXPECT_EQ(pa.key, pb.key);
+  EXPECT_EQ(pa.accesses, pb.accesses);
+  // Bit-identical, not approximately equal: every path must fold the
+  // exact same integers through the exact same doubles.
+  EXPECT_EQ(pa.missRate, pb.missRate) << pa.key.label();
+  EXPECT_EQ(pa.cycles, pb.cycles) << pa.key.label();
+  EXPECT_EQ(pa.energyNj, pb.energyNj) << pa.key.label();
 }
 
 void expectSamePoints(const ExplorationResult& a,
                       const ExplorationResult& b) {
   ASSERT_EQ(a.points.size(), b.points.size());
   for (std::size_t i = 0; i < a.points.size(); ++i) {
-    const DesignPoint& pa = a.points[i];
-    const DesignPoint& pb = b.points[i];
-    EXPECT_EQ(pa.key, pb.key);
-    EXPECT_EQ(pa.accesses, pb.accesses);
-    // Bit-identical, not approximately equal: the streamed path must
-    // fold the exact same integers through the exact same doubles.
-    EXPECT_EQ(pa.missRate, pb.missRate) << pa.key.label();
-    EXPECT_EQ(pa.cycles, pb.cycles) << pa.key.label();
-    EXPECT_EQ(pa.energyNj, pb.energyNj) << pa.key.label();
+    expectSamePoint(a.points[i], b.points[i]);
+  }
+}
+
+/// The cache a trace-sweep point describes (B = 1; the policies come
+/// from the run's options).
+CacheConfig cacheAt(const ConfigKey& key) {
+  CacheConfig cache;
+  cache.sizeBytes = key.cacheBytes;
+  cache.lineBytes = key.lineBytes;
+  cache.associativity = key.associativity;
+  return cache;
+}
+
+/// The per-point oracle of a trace sweep: one evaluateTracePoint
+/// (CacheSim::run) per key the sweep visited.
+void expectMatchesPerPoint(const ExplorationResult& sweep, const Trace& trace,
+                           const ExploreOptions& options) {
+  ASSERT_FALSE(sweep.points.empty());
+  for (const DesignPoint& p : sweep.points) {
+    expectSamePoint(p, evaluateTracePoint(trace, cacheAt(p.key), options));
   }
 }
 
 TEST(StreamedExplore, TrivialWindowMatchesMaterializedBothBackends) {
   const Trace trace = mixedTrace(4000, 47);
-  for (const SweepBackend backend :
-       {SweepBackend::StackDist, SweepBackend::MultiSim}) {
-    const ExploreOptions options = smallSweep(backend);
-    const ExplorationResult materialized =
-        exploreTrace("w", trace, options);
+  for (const ReplacementPolicy rp : kEnginePolicies) {
+    SCOPED_TRACE(toString(rp));
+    const ExploreOptions options = smallSweep(rp);
     VectorTraceSource source(trace);
     const ExplorationResult streamed =
         exploreTrace("w", source, options, TraceWindow{}, 64);
-    expectSamePoints(streamed, materialized);
+    expectMatchesPerPoint(streamed, trace, options);
+    // The Trace overload is the same driver at the default chunk size.
+    expectSamePoints(streamed, exploreTrace("w", trace, options));
   }
 }
 
@@ -488,30 +519,66 @@ TEST(StreamedExplore, SkipAndLimitMatchMaterializedSubrange) {
   const TraceWindow window{500, 0, 1000};
   Trace sub;
   for (std::size_t i = 500; i < 1500; ++i) sub.push(trace[i]);
-  for (const SweepBackend backend :
-       {SweepBackend::StackDist, SweepBackend::MultiSim}) {
-    const ExploreOptions options = smallSweep(backend);
-    const ExplorationResult materialized = exploreTrace("w", sub, options);
+  for (const ReplacementPolicy rp : kEnginePolicies) {
+    SCOPED_TRACE(toString(rp));
+    const ExploreOptions options = smallSweep(rp);
     VectorTraceSource source(trace);
     const ExplorationResult streamed =
         exploreTrace("w", source, options, window, 128);
-    expectSamePoints(streamed, materialized);
+    expectMatchesPerPoint(streamed, sub, options);
   }
 }
 
 TEST(StreamedExplore, WarmupAgreesAcrossBackends) {
-  // Warmup exclusion uses snapshot subtraction in both backends; the
-  // simulated and analytic paths must agree exactly on the counted
-  // region (LRU/write-allocate domain).
+  // Warmup exclusion uses snapshot subtraction in every bank: the sweep
+  // (analytic for LRU, a MultiCacheSim bank for Random) and the
+  // per-point one-member simulator bank must agree exactly on the
+  // counted region.
   const Trace trace = mixedTrace(3000, 59);
   const TraceWindow window{200, 500, 1500};
-  VectorTraceSource a(trace);
-  VectorTraceSource b(trace);
-  const ExplorationResult viaStackDist = exploreTrace(
-      "w", a, smallSweep(SweepBackend::StackDist), window, 64);
-  const ExplorationResult viaMultiSim = exploreTrace(
-      "w", b, smallSweep(SweepBackend::MultiSim), window, 64);
-  expectSamePoints(viaStackDist, viaMultiSim);
+  for (const ReplacementPolicy rp : kEnginePolicies) {
+    SCOPED_TRACE(toString(rp));
+    const ExploreOptions options = smallSweep(rp);
+    VectorTraceSource source(trace);
+    const ExplorationResult sweep =
+        exploreTrace("w", source, options, window, 64);
+    ASSERT_FALSE(sweep.points.empty());
+    for (const DesignPoint& p : sweep.points) {
+      VectorTraceSource one(trace);
+      expectSamePoint(p, evaluateTracePoint(one, cacheAt(p.key), options,
+                                            window, 64));
+    }
+  }
+}
+
+// Trace sweeps fold through the same point model as kernel sweeps:
+// with write-back and includeWriteEnergy the writebacks reach the
+// energy, and leakage is charged per cycle on top.
+TEST(StreamedExplore, TraceSweepChargesWriteEnergyAndLeakage) {
+  const Trace trace = mixedTrace(3000, 73);
+  for (const ReplacementPolicy rp : kEnginePolicies) {
+    SCOPED_TRACE(toString(rp));
+    ExploreOptions options = smallSweep(rp);
+    options.writePolicy = WritePolicy::WriteBack;
+    options.includeWriteEnergy = true;
+    options.energy.leakagePjPerBytePerCycle = 0.5;
+    const ExplorationResult sweep = exploreTrace("w", trace, options);
+    ASSERT_FALSE(sweep.points.empty());
+    const double addBs = measureAddrActivity(trace);
+    const CycleModel cycleModel(options.timing);
+    for (const DesignPoint& p : sweep.points) {
+      CacheConfig cache = cacheAt(p.key);
+      cache.writePolicy = options.writePolicy;
+      cache.replacement = rp;
+      const CacheStats stats = simulateTrace(cache, trace);
+      const CacheEnergyModel energy(cache, options.energy, addBs);
+      const double cycles = cycleModel.cycles(stats, cache, 1);
+      EXPECT_EQ(p.cycles, cycles) << p.label();
+      EXPECT_EQ(p.energyNj, energy.totalIncludingWritesNj(stats) +
+                                energy.leakageNj(cycles))
+          << p.label();
+    }
+  }
 }
 
 TEST(StreamedExplore, EvaluatePointMatchesMaterialized) {
@@ -544,7 +611,7 @@ TEST(StreamedExplore, FileSourceMatchesInMemoryEndToEnd) {
   }
   // din drops sizes; compare against the re-parsed trace.
   const Trace parsed = fromDinString(toDinString(trace));
-  const ExploreOptions options = smallSweep(SweepBackend::Auto);
+  const ExploreOptions options = smallSweep();
   const ExplorationResult materialized =
       exploreTrace("w", parsed, options);
   FileTraceSource source(path);

@@ -1,22 +1,21 @@
 // Sweep-engine speed check: the full Compress sweep on the reference
 // per-point path (Explorer::evaluate per sweep key, regenerating the
 // trace every time) versus the shared-trace one-pass engine (explore()
-// and exploreParallel(), analytic for this LRU sweep), plus an
-// instrumented parallel run with an obs::Recorder attached to measure
-// the observability layer's overhead (budget: < 5%), plus engine
-// comparisons: explore() against the same plan simulated in
-// MultiCacheSim banks (planSweep -> buildGroupTrace -> configFor ->
-// bank -> makePoint; budget: analytic >= 2x points/sec), once on the
-// paper's read-only energy metric, once with write-back + write energy
-// on (exact writebacks via dirty-stack accounting), and on FIFO and
-// tree-PLRU sweeps (served by the single-pass policy-grid engine).
-// Every plan must put these sweeps on the analytic engine. Asserts
-// every path produces bit-identical DesignPoint vectors, then writes
-// BENCH_sweep_speed.json with points/sec of each path and engine, the
-// speedups (including fifo_*/plru_* fields for the grid engine), the
-// sink overhead, and the full RunReport, and BENCH_sweep_trace.json
-// with the chrome://tracing worker timeline. Exits nonzero on any
-// mismatch or blown budget.
+// and exploreParallel()), plus an instrumented parallel run with an
+// obs::Recorder attached to measure the observability layer's overhead
+// (budget: < 5%), plus engine comparisons: explore() against the same
+// plan with every configuration simulated on its own (planSweep ->
+// buildGroupTrace -> configFor -> simulateTrace -> makePoint; budget:
+// engine >= 2x points/sec), on the paper's read-only energy metric
+// (LRU), with write-back + write energy on (exact writebacks via
+// dirty-stack accounting), and under FIFO, tree-PLRU and Random
+// replacement (served by the single-pass policy grid). Every plan must
+// put its groups on StackDist. Asserts every path produces
+// bit-identical DesignPoint vectors, then writes BENCH_sweep_speed.json
+// with points/sec of each path and each comparison's two sides, the
+// speedups, the sink overhead, and the full RunReport, and
+// BENCH_sweep_trace.json with the chrome://tracing worker timeline.
+// Exits nonzero on any mismatch or blown budget.
 //
 // This is a plain main (no google-benchmark): the determinism check is
 // the point, and each path is simply timed best-of-kReps (every rep does
@@ -28,10 +27,11 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "memx/cachesim/multi_sim.hpp"
+#include "memx/cachesim/cache_sim.hpp"
 #include "memx/core/parallel_explorer.hpp"
 
 namespace {
@@ -72,12 +72,11 @@ bool identical(const std::vector<DesignPoint>& a,
   return true;
 }
 
-/// The simulating side of each engine comparison: the plan explore()
-/// runs, with every group's configurations simulated in one
-/// MultiCacheSim bank and folded through the same point model. The
-/// group traces stay alive in `traces`, as explore() keeps them in its
-/// trace cache, so the two sides differ only in the engine (reusing one
-/// cache-hot trace buffer made this side ~10% faster).
+/// The simulated side of each engine comparison: the plan explore()
+/// runs, with every configuration simulated on its own (simulateTrace)
+/// against its group's trace and folded through the same point model.
+/// The group traces stay alive in `traces`, as explore() keeps them in
+/// its trace cache, so the two sides differ only in the engine.
 std::vector<DesignPoint> simulatedSweep(const Explorer& g,
                                         const Kernel& kernel,
                                         std::vector<memx::Trace>& traces) {
@@ -88,29 +87,44 @@ std::vector<DesignPoint> simulatedSweep(const Explorer& g,
     const memx::Trace& trace =
         traces.emplace_back(g.buildGroupTrace(kernel, group, patterns));
     const double addBs = g.addrActivityFor(trace);
-    std::vector<memx::CacheConfig> configs;
-    configs.reserve(group.keyIndices.size());
     for (const std::size_t idx : group.keyIndices) {
-      configs.push_back(g.configFor(plan.keys[idx]));
-    }
-    memx::MultiCacheSim bank(configs);
-    bank.run(trace);
-    for (std::size_t j = 0; j < configs.size(); ++j) {
-      const std::size_t idx = group.keyIndices[j];
-      out[idx] = g.makePoint(configs[j], plan.keys[idx].tiling,
-                             bank.stats(j), addBs);
+      const memx::CacheConfig config = g.configFor(plan.keys[idx]);
+      out[idx] = g.makePoint(config, plan.keys[idx].tiling,
+                             memx::simulateTrace(config, trace), addBs);
     }
   }
   return out;
 }
 
-/// True iff every group of `g`'s plan runs on the analytic engine.
-bool plannedAnalytic(const Explorer& g, const Kernel& kernel) {
+/// True iff every group of `g`'s plan runs on StackDist.
+bool plannedStackDist(const Explorer& g, const Kernel& kernel) {
   const memx::SweepPlan plan = g.planSweep(kernel, g.sweepKeys());
   for (const memx::SweepPlan::Group& group : plan.groups) {
     if (group.backend != memx::SweepBackend::StackDist) return false;
   }
   return !plan.groups.empty();
+}
+
+/// One engine comparison: explore() against simulatedSweep() on the
+/// same options, both sides timed in the same rep.
+struct Comparison {
+  Comparison(const char* label, Explorer g)
+      : name(label), explorer(std::move(g)) {}
+
+  const char* name;  ///< report label and JSON field prefix
+  Explorer explorer;
+  double simSec = 1e30;
+  double engineSec = 1e30;
+  std::vector<DesignPoint> simPts;
+  std::vector<DesignPoint> enginePts;
+  std::vector<double> ratios;  ///< per-rep simulated / engine time
+  double speedup = 0.0;        ///< median of `ratios`
+};
+
+memx::ExploreOptions withReplacement(memx::ReplacementPolicy rp) {
+  memx::ExploreOptions o = memx::bench::paperOptions();
+  o.replacement = rp;
+  return o;
 }
 
 }  // namespace
@@ -154,9 +168,6 @@ int main() {
   // baseline regenerates its per-point traces. The serial timing itself
   // happens in the interleaved engine loop below so the engine speedups
   // pair measurements taken under the same machine conditions.
-  double sharedSec = 1e30;
-  std::vector<DesignPoint> sharedPts;
-
   double parSec = 1e30;
   std::vector<DesignPoint> parPts;
   for (int rep = 0; rep < kReps; ++rep) {
@@ -184,29 +195,31 @@ int main() {
   }
 
   // Engine comparisons: explore() on each sweep against the same plan
-  // simulated in MultiCacheSim banks, once on the paper's read-only
-  // metric, once with write-back + write energy on (the sweep the
-  // paper's write-energy experiments run), and under FIFO and tree-PLRU
-  // replacement, where the analytic engine is the single-pass
-  // PolicyGridProfile instead of the Hill-Smith profile. Every one of
-  // these plans must put its groups on the analytic engine.
+  // with every configuration simulated on its own, on the paper's
+  // read-only metric (LRU, the Hill-Smith profile), with write-back +
+  // write energy on (the sweep the paper's write-energy experiments
+  // run), and under FIFO, tree-PLRU and Random replacement, where the
+  // engine's profile is the single-pass policy grid. Every one of these
+  // plans must put its groups on StackDist.
   memx::ExploreOptions wbOptions = memx::bench::paperOptions();
   wbOptions.includeWriteEnergy = true;  // writePolicy defaults to WriteBack
-  const Explorer wbGrid(wbOptions);
-  memx::ExploreOptions fifoOptions = memx::bench::paperOptions();
-  fifoOptions.replacement = memx::ReplacementPolicy::FIFO;
-  const Explorer fifoGrid(fifoOptions);
-  memx::ExploreOptions plruOptions = memx::bench::paperOptions();
-  plruOptions.replacement = memx::ReplacementPolicy::TreePLRU;
-  const Explorer plruGrid(plruOptions);
+  std::vector<Comparison> comparisons;
+  comparisons.emplace_back("lru", grid);
+  comparisons.emplace_back("writeback", Explorer(wbOptions));
+  comparisons.emplace_back(
+      "fifo", Explorer(withReplacement(memx::ReplacementPolicy::FIFO)));
+  comparisons.emplace_back(
+      "plru", Explorer(withReplacement(memx::ReplacementPolicy::TreePLRU)));
+  comparisons.emplace_back(
+      "random", Explorer(withReplacement(memx::ReplacementPolicy::Random)));
   // planSweep also warms each layout memo (untimed).
-  const bool allAnalytic =
-      plannedAnalytic(grid, kernel) && plannedAnalytic(wbGrid, kernel) &&
-      plannedAnalytic(fifoGrid, kernel) && plannedAnalytic(plruGrid, kernel);
-  if (!allAnalytic) {
-    std::cerr << "MISMATCH: planSweep did not put the LRU, write-back + "
-                 "write-energy, FIFO and PLRU sweeps on the analytic "
-                 "engine\n";
+  bool allStackDist = true;
+  for (const Comparison& c : comparisons) {
+    if (!plannedStackDist(c.explorer, kernel)) {
+      std::cerr << "MISMATCH: planSweep did not put the " << c.name
+                << " sweep on StackDist\n";
+      allStackDist = false;
+    }
   }
 
   // The engine timings are interleaved inside one rep loop: each
@@ -215,70 +228,42 @@ int main() {
   // budgets check the median of the per-rep ratios — separate loops
   // (and ratios of independently-taken minima) made the speedups
   // seesaw on a busy machine even at best-of-9.
-  auto timeExplore = [&](const Explorer& g, double& best,
-                         std::vector<DesignPoint>& pts) {
-    const Explorer fresh = g;  // warm layouts, empty trace cache
-    const auto t0 = std::chrono::steady_clock::now();
-    ExplorationResult r = fresh.explore(kernel);
-    const double sec = seconds(t0, std::chrono::steady_clock::now());
-    best = std::min(best, sec);
-    pts = std::move(r.points);
-    return sec;
-  };
-  auto timeSimulated = [&](const Explorer& g, double& best,
-                           std::vector<DesignPoint>& pts) {
-    const Explorer fresh = g;  // same starting state as timeExplore
-    std::vector<memx::Trace> traces;  // freed untimed, like fresh's cache
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<DesignPoint> r = simulatedSweep(fresh, kernel, traces);
-    const double sec = seconds(t0, std::chrono::steady_clock::now());
-    best = std::min(best, sec);
-    pts = std::move(r);
-    return sec;
-  };
-  double simSec = 1e30, wbSimSec = 1e30, wbStackSec = 1e30;
-  double fifoSimSec = 1e30, fifoStackSec = 1e30;
-  double plruSimSec = 1e30, plruStackSec = 1e30;
-  std::vector<DesignPoint> simPts, wbSimPts, wbStackPts;
-  std::vector<DesignPoint> fifoSimPts, fifoStackPts, plruSimPts,
-      plruStackPts;
-  std::vector<double> stackRatios, wbRatios, fifoRatios, plruRatios;
   for (int rep = 0; rep < kReps; ++rep) {
-    const double simT = timeSimulated(grid, simSec, simPts);
-    const double sharedT = timeExplore(grid, sharedSec, sharedPts);
-    const double wbSimT = timeSimulated(wbGrid, wbSimSec, wbSimPts);
-    const double wbStackT = timeExplore(wbGrid, wbStackSec, wbStackPts);
-    const double fifoSimT = timeSimulated(fifoGrid, fifoSimSec, fifoSimPts);
-    const double fifoStackT =
-        timeExplore(fifoGrid, fifoStackSec, fifoStackPts);
-    const double plruSimT = timeSimulated(plruGrid, plruSimSec, plruSimPts);
-    const double plruStackT =
-        timeExplore(plruGrid, plruStackSec, plruStackPts);
-    stackRatios.push_back(simT / sharedT);
-    wbRatios.push_back(wbSimT / wbStackT);
-    fifoRatios.push_back(fifoSimT / fifoStackT);
-    plruRatios.push_back(plruSimT / plruStackT);
+    for (Comparison& c : comparisons) {
+      double simT = 0.0;
+      {
+        const Explorer fresh = c.explorer;  // warm layouts, no traces
+        std::vector<memx::Trace> traces;    // freed untimed, like fresh's
+        const auto t0 = std::chrono::steady_clock::now();
+        c.simPts = simulatedSweep(fresh, kernel, traces);
+        simT = seconds(t0, std::chrono::steady_clock::now());
+      }
+      double engineT = 0.0;
+      {
+        const Explorer fresh = c.explorer;  // same starting state
+        const auto t0 = std::chrono::steady_clock::now();
+        ExplorationResult r = fresh.explore(kernel);
+        engineT = seconds(t0, std::chrono::steady_clock::now());
+        c.enginePts = std::move(r.points);
+      }
+      c.simSec = std::min(c.simSec, simT);
+      c.engineSec = std::min(c.engineSec, engineT);
+      c.ratios.push_back(simT / engineT);
+    }
   }
+  const Comparison& lru = comparisons.front();
+  const double sharedSec = lru.engineSec;
 
-  const bool ok = identical(baseline, sharedPts, "explore") &&
-                  identical(baseline, parPts, "exploreParallel") &&
-                  identical(baseline, obsPts, "exploreParallel+recorder") &&
-                  identical(baseline, simPts, "multisim banks") &&
-                  identical(wbSimPts, wbStackPts,
-                            "writeback+write-energy stackdist") &&
-                  identical(fifoSimPts, fifoStackPts, "fifo policy grid") &&
-                  identical(plruSimPts, plruStackPts, "plru policy grid") &&
-                  allAnalytic;
+  bool ok = identical(baseline, lru.enginePts, "explore") &&
+            identical(baseline, parPts, "exploreParallel") &&
+            identical(baseline, obsPts, "exploreParallel+recorder") &&
+            identical(baseline, lru.simPts, "per-config simulation") &&
+            allStackDist;
+  for (const Comparison& c : comparisons) {
+    ok = identical(c.simPts, c.enginePts, c.name) && ok;
+  }
   const double n = static_cast<double>(keys.size());
   const double speedup = baseSec / sharedSec;
-  auto medianOf = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
-  const double backendSpeedup = medianOf(stackRatios);
-  const double wbBackendSpeedup = medianOf(wbRatios);
-  const double fifoBackendSpeedup = medianOf(fifoRatios);
-  const double plruBackendSpeedup = medianOf(plruRatios);
   const double overheadPct = 100.0 * (obsSec - parSec) / parSec;
 
   std::printf("per-point baseline : %8.3f s  (%9.1f points/s)\n", baseSec,
@@ -289,47 +274,28 @@ int main() {
               parSec, n / parSec, baseSec / parSec);
   std::printf("para. + report sink: %8.3f s  (%9.1f points/s)  %+.1f%% overhead\n",
               obsSec, n / obsSec, overheadPct);
-  std::printf("multisim banks     : %8.3f s  (%9.1f points/s)\n", simSec,
-              n / simSec);
-  std::printf("stackdist (serial) : %8.3f s  (%9.1f points/s)  %.2fx vs multisim\n",
-              sharedSec, n / sharedSec, backendSpeedup);
-  std::printf("wb+energy multisim : %8.3f s  (%9.1f points/s)\n", wbSimSec,
-              n / wbSimSec);
-  std::printf("wb+energy stackdist: %8.3f s  (%9.1f points/s)  %.2fx vs multisim\n",
-              wbStackSec, n / wbStackSec, wbBackendSpeedup);
-  std::printf("fifo multisim      : %8.3f s  (%9.1f points/s)\n", fifoSimSec,
-              n / fifoSimSec);
-  std::printf("fifo policy grid   : %8.3f s  (%9.1f points/s)  %.2fx vs multisim\n",
-              fifoStackSec, n / fifoStackSec, fifoBackendSpeedup);
-  std::printf("plru multisim      : %8.3f s  (%9.1f points/s)\n", plruSimSec,
-              n / plruSimSec);
-  std::printf("plru policy grid   : %8.3f s  (%9.1f points/s)  %.2fx vs multisim\n",
-              plruStackSec, n / plruStackSec, plruBackendSpeedup);
-  std::printf("bit-identical      : %s\n", ok ? "yes" : "NO");
 
-  // Budgets: the analytic engine must earn its keep over per-config
-  // simulation on every sweep it serves, and the report sink must stay
-  // in the noise (absolute guard for sub-100ms runs where one scheduler
-  // blip is a large percentage).
-  const bool fastEnough =
-      backendSpeedup >= 2.0 && wbBackendSpeedup >= 2.0 &&
-      fifoBackendSpeedup >= 2.0 && plruBackendSpeedup >= 2.0;
-  if (backendSpeedup < 2.0) {
-    std::cerr << "BUDGET: stackdist speedup " << backendSpeedup
-              << "x is below the 2x floor\n";
+  // Budgets: the engine must earn its keep over per-config simulation
+  // on every sweep it serves, and the report sink must stay in the
+  // noise (absolute guard for sub-100ms runs where one scheduler blip
+  // is a large percentage).
+  bool fastEnough = true;
+  for (Comparison& c : comparisons) {
+    std::vector<double> sorted = c.ratios;
+    std::sort(sorted.begin(), sorted.end());
+    c.speedup = sorted[sorted.size() / 2];
+    std::printf("%-9s simulated: %8.3f s  (%9.1f points/s)\n", c.name,
+                c.simSec, n / c.simSec);
+    std::printf("%-9s engine   : %8.3f s  (%9.1f points/s)  %.2fx vs "
+                "simulated\n",
+                c.name, c.engineSec, n / c.engineSec, c.speedup);
+    if (c.speedup < 2.0) {
+      std::cerr << "BUDGET: " << c.name << " engine speedup " << c.speedup
+                << "x is below the 2x floor\n";
+      fastEnough = false;
+    }
   }
-  if (wbBackendSpeedup < 2.0) {
-    std::cerr << "BUDGET: write-back stackdist speedup "
-              << wbBackendSpeedup << "x is below the 2x floor\n";
-  }
-  if (fifoBackendSpeedup < 2.0) {
-    std::cerr << "BUDGET: FIFO policy-grid speedup " << fifoBackendSpeedup
-              << "x is below the 2x floor\n";
-  }
-  if (plruBackendSpeedup < 2.0) {
-    std::cerr << "BUDGET: PLRU policy-grid speedup " << plruBackendSpeedup
-              << "x is below the 2x floor\n";
-  }
+  std::printf("bit-identical      : %s\n", ok ? "yes" : "NO");
   const bool lowOverhead = overheadPct < 5.0 || (obsSec - parSec) < 0.05;
   if (!lowOverhead) {
     std::cerr << "BUDGET: instrumentation overhead " << overheadPct
@@ -345,26 +311,16 @@ int main() {
        << ", \"per_point_points_per_sec\": " << n / baseSec
        << ", \"shared_points_per_sec\": " << n / sharedSec
        << ", \"parallel_points_per_sec\": " << n / parSec
-       << ", \"instrumented_points_per_sec\": " << n / obsSec
-       << ", \"multisim_seconds\": " << simSec
-       << ", \"multisim_points_per_sec\": " << n / simSec
-       << ", \"writeback_multisim_seconds\": " << wbSimSec
-       << ", \"writeback_multisim_points_per_sec\": " << n / wbSimSec
-       << ", \"writeback_stackdist_seconds\": " << wbStackSec
-       << ", \"writeback_stackdist_points_per_sec\": " << n / wbStackSec
-       << ", \"writeback_backend_speedup\": " << wbBackendSpeedup
-       << ", \"fifo_multisim_seconds\": " << fifoSimSec
-       << ", \"fifo_multisim_points_per_sec\": " << n / fifoSimSec
-       << ", \"fifo_stackdist_seconds\": " << fifoStackSec
-       << ", \"fifo_stackdist_points_per_sec\": " << n / fifoStackSec
-       << ", \"fifo_backend_speedup\": " << fifoBackendSpeedup
-       << ", \"plru_multisim_seconds\": " << plruSimSec
-       << ", \"plru_multisim_points_per_sec\": " << n / plruSimSec
-       << ", \"plru_stackdist_seconds\": " << plruStackSec
-       << ", \"plru_stackdist_points_per_sec\": " << n / plruStackSec
-       << ", \"plru_backend_speedup\": " << plruBackendSpeedup
-       << ", \"speedup\": " << speedup
-       << ", \"backend_speedup\": " << backendSpeedup
+       << ", \"instrumented_points_per_sec\": " << n / obsSec;
+  for (const Comparison& c : comparisons) {
+    const std::string p = std::string(", \"") + c.name + "_";
+    json << p << "simulated_seconds\": " << c.simSec
+         << p << "simulated_points_per_sec\": " << n / c.simSec
+         << p << "engine_seconds\": " << c.engineSec
+         << p << "engine_points_per_sec\": " << n / c.engineSec
+         << p << "backend_speedup\": " << c.speedup;
+  }
+  json << ", \"speedup\": " << speedup
        << ", \"sink_overhead_pct\": " << overheadPct
        << ", \"identical\": " << (ok ? "true" : "false");
   memx::bench::emitRunReport(report, json, "BENCH_sweep_trace.json");

@@ -1,9 +1,9 @@
 // Out-of-core trace ingestion gate: generates a large synthetic .din.gz
 // on disk, then
-//   1. streams a materializable prefix through the trace sweep on both
-//      engines (LRU analytic, Random simulated) and asserts the results
-//      are bit-identical to the in-memory Trace path and to a
-//      MultiCacheSim bank driven directly over the prefix (windowing
+//   1. streams a materializable prefix through the trace sweep under
+//      LRU (the Hill-Smith profile) and Random (the policy grid) and
+//      asserts the results are bit-identical to the in-memory Trace
+//      path and to per-config simulateTrace over the prefix (windowing
 //      included),
 //   2. times decode-only draining, a full streamed LRU sweep (analytic,
 //      with the obs sink attached) and a streamed single-config
@@ -32,7 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "memx/cachesim/multi_sim.hpp"
+#include "memx/cachesim/cache_sim.hpp"
 #include "memx/core/trace_explorer.hpp"
 #include "memx/obs/recorder.hpp"
 #include "memx/trace/din_io.hpp"
@@ -98,26 +98,21 @@ ExploreOptions sweepOptions(
   return options;
 }
 
-/// The simulating side of the engine comparison: every sweep config in
-/// one MultiCacheSim bank over the in-memory trace, folded through the
-/// same point model.
+/// The independent side of the engine comparison: every sweep config
+/// simulated on its own (simulateTrace) over the in-memory trace,
+/// folded through the same point model.
 ExplorationResult simulatedSweep(const Trace& trace,
                                  const ExploreOptions& options) {
   ExploreOptions o = options;
   o.ranges.sweepTiling = false;
   const Explorer grid(o);
-  std::vector<CacheConfig> configs;
-  for (const ConfigKey& key : grid.sweepKeys()) {
-    configs.push_back(grid.configFor(key));
-  }
-  MultiCacheSim bank(configs);
-  bank.run(trace);
   const double addBs = grid.addrActivityFor(trace);
   ExplorationResult result;
   result.workload = "w";
-  for (std::size_t i = 0; i < configs.size(); ++i) {
+  for (const ConfigKey& key : grid.sweepKeys()) {
+    const CacheConfig config = grid.configFor(key);
     result.points.push_back(
-        grid.makePoint(configs[i], 1, bank.stats(i), addBs));
+        grid.makePoint(config, 1, simulateTrace(config, trace), addBs));
   }
   return result;
 }
@@ -199,8 +194,8 @@ int main() {
   bool ok = true;
 
   // --- Phase B: streamed == materialized == directly simulated on a
-  // prefix small enough to hold in memory, on both engines, trivial and
-  // shifted windows.
+  // prefix small enough to hold in memory, under LRU and Random,
+  // trivial and shifted windows.
   const std::uint64_t prefixRefs = std::min<std::uint64_t>(totalRefs, 500'000);
   Trace prefix;
   {
@@ -220,8 +215,8 @@ int main() {
                          lru ? "prefix lru" : "prefix random") &&
          ok;
     ok = identicalPoints(streamed, simulatedSweep(prefix, options),
-                         lru ? "prefix lru vs multisim bank"
-                             : "prefix random vs multisim bank") &&
+                         lru ? "prefix lru vs per-config simulation"
+                             : "prefix random vs per-config simulation") &&
          ok;
   }
   {
@@ -290,7 +285,7 @@ int main() {
   }
   const double simSec = seconds(tSim0, clock::now());
   const double simRefsPerSec = static_cast<double>(simAccesses) / simSec;
-  std::cout << "multisim streamed point: " << simAccesses << " refs in "
+  std::cout << "simulated streamed point: " << simAccesses << " refs in "
             << simSec << " s (" << simRefsPerSec / 1e6 << " Mref/s)\n";
   if (stackAccesses != totalRefs || simAccesses != totalRefs) {
     std::cerr << "MISMATCH: streamed sweeps counted " << stackAccesses
@@ -339,8 +334,8 @@ int main() {
        << ", \"decode_refs_per_sec\": " << decodeRefsPerSec
        << ", \"stackdist_seconds\": " << stackSec
        << ", \"stackdist_refs_per_sec\": " << stackRefsPerSec
-       << ", \"multisim_seconds\": " << simSec
-       << ", \"multisim_refs_per_sec\": " << simRefsPerSec
+       << ", \"simulated_seconds\": " << simSec
+       << ", \"simulated_refs_per_sec\": " << simRefsPerSec
        << ", \"peak_rss_bytes\": " << rss
        << ", \"identical\": " << (ok ? "true" : "false")
        << ", \"report\": ";

@@ -252,8 +252,8 @@ int cmdExplore(const Args& args) {
   // Write-back is the default write policy, so --write-energy exercises
   // the writeback-charging metric.
   options.includeWriteEnergy = args.writeEnergy;
-  // The policy also picks the sweep engine: Random simulates, LRU rides
-  // the Hill-Smith profile, FIFO/PLRU the single-pass policy grid.
+  // The policy picks the engine's profile: LRU rides the Hill-Smith
+  // profile, FIFO/PLRU/Random the single-pass policy grid.
   options.replacement = args.replacement;
   const Explorer explorer(options);
   if (args.search) {

@@ -238,31 +238,25 @@ bool CacheSim::probeLineIndex(std::uint64_t lineIndex, AccessType type,
 
 AccessOutcome CacheSim::access(const MemRef& ref) {
   MEMX_EXPECTS(ref.size > 0, "access size must be positive");
-  return accessLines(ref.addr >> lineShift_,
-                     (ref.addr + ref.size - 1) >> lineShift_, ref.type);
-}
-
-AccessOutcome CacheSim::accessLines(std::uint64_t firstLine,
-                                    std::uint64_t lastLine,
-                                    AccessType type) {
   AccessOutcome outcome;
   bool allHit = true;
-  for (std::uint64_t line = firstLine; line <= lastLine; ++line) {
-    allHit &= probeLineIndex(line, type, &outcome);
+  const std::uint64_t lastLine = (ref.addr + ref.size - 1) >> lineShift_;
+  for (std::uint64_t line = ref.addr >> lineShift_; line <= lastLine;
+       ++line) {
+    allHit &= probeLineIndex(line, ref.type, &outcome);
   }
   outcome.hit = allHit;
-  countAccess(allHit, type);
+  countAccess(allHit, ref.type);
   return outcome;
 }
 
-bool CacheSim::accessLinesFast(std::uint64_t firstLine,
+void CacheSim::accessLinesFast(std::uint64_t firstLine,
                                std::uint64_t lastLine, AccessType type) {
   bool allHit = true;
   for (std::uint64_t line = firstLine; line <= lastLine; ++line) {
     allHit &= probeLineIndex(line, type, nullptr);
   }
   countAccess(allHit, type);
-  return allHit;
 }
 
 void CacheSim::countAccess(bool allHit, AccessType type) {
@@ -275,41 +269,19 @@ void CacheSim::countAccess(bool allHit, AccessType type) {
   }
 }
 
-void CacheSim::replaySpans(const LineSpan* spans, std::size_t count) {
-  // Accumulate the per-access counters in locals and flush once: the
-  // counts are identical to calling accessLinesFast per span, without
-  // read-modify-writing six statistics fields on every access.
-  std::uint64_t reads = 0;
-  std::uint64_t readHits = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t writeHits = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    bool allHit = true;
-    for (std::uint64_t line = spans[i].first; line <= spans[i].last;
-         ++line) {
-      allHit &= probeLineIndex(line, spans[i].type, nullptr);
-    }
-    if (isReadLike(spans[i].type)) {
-      ++reads;
-      readHits += allHit ? 1 : 0;
-    } else {
-      ++writes;
-      writeHits += allHit ? 1 : 0;
-    }
-  }
-  stats_.reads += reads;
-  stats_.readHits += readHits;
-  stats_.readMisses += reads - readHits;
-  stats_.writes += writes;
-  stats_.writeHits += writeHits;
-  stats_.writeMisses += writes - writeHits;
-}
-
 void CacheSim::run(const Trace& trace) {
   for (const MemRef& ref : trace) {
     MEMX_EXPECTS(ref.size > 0, "access size must be positive");
     accessLinesFast(ref.addr >> lineShift_,
                     (ref.addr + ref.size - 1) >> lineShift_, ref.type);
+  }
+}
+
+void CacheSim::run(TraceSource& source) {
+  while (const std::optional<MemRef> ref = source.next()) {
+    MEMX_EXPECTS(ref->size > 0, "access size must be positive");
+    accessLinesFast(ref->addr >> lineShift_,
+                    (ref->addr + ref->size - 1) >> lineShift_, ref->type);
   }
 }
 

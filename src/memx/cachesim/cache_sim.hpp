@@ -26,15 +26,6 @@ struct AccessOutcome {
   std::vector<std::uint64_t> evictedDirtyLines;
 };
 
-/// A reference pre-decomposed into its line span under some line size
-/// (first/last are line indices). Lets one decomposition of a trace be
-/// replayed against every cache sharing that line size.
-struct LineSpan {
-  std::uint64_t first = 0;
-  std::uint64_t last = 0;
-  AccessType type = AccessType::Read;
-};
-
 /// A single-level data cache.
 ///
 /// Accesses wider than a line, or straddling a line boundary, are split
@@ -47,27 +38,15 @@ public:
   /// Present one reference; updates state and statistics.
   AccessOutcome access(const MemRef& ref);
 
-  /// Present one reference whose line span has already been computed
-  /// (firstLine/lastLine are line indices, i.e. addr / lineBytes). This
-  /// is the hook MultiCacheSim uses to decompose an access once per
-  /// distinct line size and share the result across a config bank.
-  AccessOutcome accessLines(std::uint64_t firstLine, std::uint64_t lastLine,
-                            AccessType type);
-
-  /// Statistics-only variant of accessLines: identical state and counter
-  /// updates, but skips assembling the per-access AccessOutcome (whose
-  /// evicted-line list only matters to multi-level consumers). The sweep
-  /// hot paths use this. Returns true when the whole access hit.
-  bool accessLinesFast(std::uint64_t firstLine, std::uint64_t lastLine,
-                       AccessType type);
-
-  /// Present a whole pre-decomposed trace, statistics-only. Equivalent to
-  /// calling accessLinesFast once per span, in order; a single bulk call
-  /// so the per-span probe inlines into one tight loop.
-  void replaySpans(const LineSpan* spans, std::size_t count);
-
-  /// Run a whole trace through the cache.
+  /// Run a whole trace through the cache (statistics-only: identical
+  /// state and counter updates to access(), without assembling the
+  /// per-access AccessOutcome).
   void run(const Trace& trace);
+
+  /// Drain `source` through the cache, statistics-only like
+  /// run(Trace). Callable repeatedly; cache state persists, which is
+  /// how the streamed drivers split warmup from counted references.
+  void run(TraceSource& source);
 
   /// Drop all contents and statistics (configuration is kept).
   void reset();
@@ -106,7 +85,11 @@ private:
   /// update identically either way).
   bool probeLineIndex(std::uint64_t lineIndex, AccessType type,
                       AccessOutcome* outcome);
-  /// Shared tail of accessLines/accessLinesFast: per-access counters.
+  /// Statistics-only access of the line span [firstLine, lastLine]
+  /// (line indices, i.e. addr / lineBytes): the run() hot path.
+  void accessLinesFast(std::uint64_t firstLine, std::uint64_t lastLine,
+                       AccessType type);
+  /// Shared tail of access/accessLinesFast: per-access counters.
   void countAccess(bool allHit, AccessType type);
   [[nodiscard]] std::size_t victimWay(std::uint32_t setIndex);
 

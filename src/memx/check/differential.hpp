@@ -2,12 +2,12 @@
 //
 // Each seeded case replays one generated reference stream through every
 // production simulation path — CacheSim's bulk fast path, its
-// per-access outcome path, a MultiCacheSim bank, the two-level
-// CacheHierarchy, the set-sampling estimator, the stack-distance bank
-// (StackDistSim on an always-in-domain LRU config plus its
-// fully-associative and direct-mapped siblings) and the policy-grid
-// bank (the same sibling scheme on a seed-pure FIFO or tree-PLRU
-// config, exercising PolicyGridProfile) — and diffs the full
+// per-access outcome path, the two-level CacheHierarchy, the
+// set-sampling estimator, the stack-distance bank (StackDistSim on an
+// always-in-domain LRU config plus its fully-associative and
+// direct-mapped siblings) and the policy-grid bank (the same sibling
+// scheme on a seed-pure FIFO or tree-PLRU config, plus Random siblings,
+// exercising PolicyGridProfile) — and diffs the full
 // statistics of each against the naive RefCacheSim oracle. Full
 // simulation must match bit for bit (including the Random replacement
 // policy, which both sides draw from identically-seeded engines); set
@@ -34,7 +34,8 @@ struct DiffCase {
   CacheConfig lru;     ///< LRU/write-allocate config for the stack-
                        ///< distance path (StackDistSim's domain)
   CacheConfig grid;    ///< FIFO/TreePLRU write-allocate config for the
-                       ///< policy-grid path (PolicyGridProfile's domain)
+                       ///< policy-grid path (Random siblings are derived
+                       ///< from it, so the draw stays seed-stable)
   Trace trace;
 };
 

@@ -5,7 +5,6 @@
 
 #include "memx/cachesim/bus_monitor.hpp"
 #include "memx/cachesim/cache_sim.hpp"
-#include "memx/cachesim/multi_sim.hpp"
 #include "memx/layout/offchip_assign.hpp"
 #include "memx/loopir/trace_gen.hpp"
 #include "memx/obs/recorder.hpp"
@@ -75,8 +74,10 @@ std::string canonicalModelKey(const ExploreOptions& options) {
   u("wenergy", options.includeWriteEnergy ? 1 : 0);
   key += "wp=" + toString(options.writePolicy) + ";";
   key += "repl=" + toString(options.replacement) + ";";
-  // The engine suffix follows from repl= alone; it stays in the text so
-  // keys (and the cache_key digests served from them) keep their bytes.
+  // The engine suffix follows from repl= alone, and "multisim" names an
+  // engine Random no longer runs on; it stays in the text so keys (and
+  // the cache_key digests served from them, which the benchmark's
+  // serve_mix ledger pins) keep their bytes.
   key += options.replacement == ReplacementPolicy::Random
              ? "backend=multisim"
              : "backend=stackdist";
@@ -363,17 +364,6 @@ SweepPlan Explorer::planSweep(const Kernel& kernel,
   SweepPlan plan;
   plan.generation = cacheGeneration_;
   plan.keys = std::move(keys);
-  // The replacement policy picks the engine: Random victims come from a
-  // per-cache rng stream, so Random simulates; LRU reads a Hill-Smith
-  // stack-distance profile and FIFO/tree-PLRU the single-pass policy
-  // grid, both exact under either write policy (dirty accounting gives
-  // the write-back writebacks). Policies are run-global, so every group
-  // gets the same engine; stamping each keeps evaluateGroup
-  // self-contained.
-  const SweepBackend backend =
-      options_.replacement != ReplacementPolicy::Random
-          ? SweepBackend::StackDist
-          : SweepBackend::MultiSim;
   // Tiled variants used only to certify layouts; the trace-generating
   // tiling happens later, once per pattern.
   std::map<std::uint32_t, Kernel> tiledProbes;
@@ -407,7 +397,7 @@ SweepPlan Explorer::planSweep(const Kernel& kernel,
     if (inserted) {
       plan.groups.push_back(SweepPlan::Group{traceTiling, traceKey,
                                              &layout, {},
-                                             cacheGeneration_, backend});
+                                             cacheGeneration_});
     }
     plan.groups[it->second].keyIndices.push_back(i);
   }
@@ -457,40 +447,7 @@ void Explorer::evaluateGroup(const SweepPlan::Group& group,
   for (const std::size_t idx : group.keyIndices) {
     configs.push_back(configFor(keys[idx]));
   }
-  if (group.backend == SweepBackend::StackDist) {
-    StackDistSim bank(configs);
-    bank.run(trace);
-    for (std::size_t j = 0; j < group.keyIndices.size(); ++j) {
-      const std::size_t idx = group.keyIndices[j];
-      out[idx] = makePoint(configs[j], keys[idx].tiling, bank.stats(j),
-                           addrActivity);
-    }
-    if (recorder_ != nullptr) {
-      recorder_->counter("sweep.groups").add();
-      recorder_->counter("sweep.groups_stackdist").add();
-      recorder_->counter("sweep.points").add(group.keyIndices.size());
-      recorder_->counter("stackdist.passes").add(bank.passCount());
-      // FIFO/PLRU groups run as single-pass grid simulations; count
-      // those passes and the (sets, ways) cells they cover so sweep
-      // reports show how much of the run the grid engine carried.
-      recorder_->counter("stackdist.grid_passes").add(bank.gridPassCount());
-      recorder_->counter("stackdist.grid_cells").add(bank.gridCellCount());
-      // Trace references actually profiled (one pass per line size),
-      // versus the trace.size() * configs a simulating backend pays.
-      recorder_->counter("stackdist.accesses")
-          .add(trace.size() * bank.passCount());
-      // Dirty evictions the analytic pass charged across the group's
-      // member configs (0 for write-through runs, where lines never
-      // dirty) — the write-back traffic the energy model sees.
-      std::uint64_t dirtyEvictions = 0;
-      for (std::size_t j = 0; j < group.keyIndices.size(); ++j) {
-        dirtyEvictions += bank.stats(j).writebacks;
-      }
-      recorder_->counter("stackdist.dirty_evictions").add(dirtyEvictions);
-    }
-    return;
-  }
-  MultiCacheSim bank(configs);
+  StackDistSim bank(configs);
   bank.run(trace);
   for (std::size_t j = 0; j < group.keyIndices.size(); ++j) {
     const std::size_t idx = group.keyIndices[j];
@@ -499,10 +456,26 @@ void Explorer::evaluateGroup(const SweepPlan::Group& group,
   }
   if (recorder_ != nullptr) {
     recorder_->counter("sweep.groups").add();
-    recorder_->counter("sweep.groups_multisim").add();
+    recorder_->counter("sweep.groups_stackdist").add();
     recorder_->counter("sweep.points").add(group.keyIndices.size());
-    recorder_->counter("sim.accesses")
-        .add(trace.size() * group.keyIndices.size());
+    recorder_->counter("stackdist.passes").add(bank.passCount());
+    // FIFO/PLRU/Random groups run as single-pass grid simulations;
+    // count those passes and the (sets, ways) cells they cover so sweep
+    // reports show how much of the run the grid engine carried.
+    recorder_->counter("stackdist.grid_passes").add(bank.gridPassCount());
+    recorder_->counter("stackdist.grid_cells").add(bank.gridCellCount());
+    // Trace references actually profiled (one pass per line size),
+    // versus the trace.size() * configs a per-config simulation pays.
+    recorder_->counter("stackdist.accesses")
+        .add(trace.size() * bank.passCount());
+    // Dirty evictions the pass charged across the group's member
+    // configs (0 for write-through runs, where lines never dirty) — the
+    // write-back traffic the energy model sees.
+    std::uint64_t dirtyEvictions = 0;
+    for (std::size_t j = 0; j < group.keyIndices.size(); ++j) {
+      dirtyEvictions += bank.stats(j).writebacks;
+    }
+    recorder_->counter("stackdist.dirty_evictions").add(dirtyEvictions);
   }
 }
 

@@ -17,12 +17,13 @@
 // so explore() groups the (T, L, S, B) grid by (B, layout signature),
 // generates each distinct trace once (cached in a TraceCache keyed like
 // the layout memo), and evaluates every configuration of a group against
-// the shared immutable trace in a single pass. The replacement policy
-// picks the engine for that pass: Random replacement simulates every
-// config in a MultiCacheSim bank (its victims come from a per-cache rng
-// stream), every other policy is analytic (StackDistSim: one profile per
-// line size serves all (T, S) at once). Results are bit-identical to
-// evaluating each point in isolation either way.
+// the shared immutable trace in a single pass of the one sweep engine,
+// StackDistSim: one profile per (line size, policy) serves all (T, S)
+// at once — Hill–Smith stack distances for LRU, the single-pass policy
+// grid for FIFO, tree-PLRU and Random (per-cell generators seeded like
+// CacheSim's replay its victims exactly). Results are bit-identical to
+// evaluating each point in isolation, which evaluate() does by
+// simulation.
 #pragma once
 
 #include <cstdint>
@@ -67,14 +68,15 @@ struct ExploreRanges {
   void validate() const;
 };
 
-/// The engine a sweep group runs on, fixed by the replacement policy
-/// at planSweep time (see SweepPlan::Group::backend).
+/// The engine a sweep group runs on (see SweepPlan::Group::backend).
+/// Every group runs on StackDist now; the enum and both enumerators stay
+/// only because the benchmark's per-layer attribution
+/// (perfbench/src/common.cpp) names them, and go with its next change.
 enum class SweepBackend : std::uint8_t {
-  /// Simulate every configuration (MultiCacheSim bank): Random
-  /// replacement, whose victims come from a simulator-owned rng stream.
+  /// Retired per-config simulator bank; planSweep never picks it.
   MultiSim,
-  /// Single-pass analytic profiles (StackDistSim): LRU stack distances
-  /// or the FIFO/tree-PLRU policy grid serve every (T, S) of a line
+  /// Single-pass profiles (StackDistSim): LRU stack distances or the
+  /// FIFO/tree-PLRU/Random policy grid serve every (T, S) of a line
   /// size at once, exact under both write policies.
   StackDist,
 };
@@ -222,9 +224,9 @@ struct SweepPlan {
     /// Layout-memo generation at planning time; checked by
     /// buildGroupTrace/evaluateGroup against the owning Explorer.
     std::uint64_t generation = 0;
-    /// Engine planSweep chose: MultiSim for Random replacement,
-    /// StackDist for every other policy.
-    SweepBackend backend = SweepBackend::MultiSim;
+    /// Engine of the group: always StackDist (kept for the benchmark's
+    /// per-layer attribution; see SweepBackend).
+    SweepBackend backend = SweepBackend::StackDist;
   };
 
   std::vector<ConfigKey> keys;
@@ -268,9 +270,8 @@ public:
   [[nodiscard]] std::vector<ConfigKey> sweepKeys() const;
 
   /// Partition `keys` into trace groups (computing and memoizing the
-  /// layouts) and pick each group's engine from the replacement policy.
-  /// Serial; the returned plan can then be evaluated group by group,
-  /// concurrently if desired.
+  /// layouts). Serial; the returned plan can then be evaluated group
+  /// by group, concurrently if desired.
   [[nodiscard]] SweepPlan planSweep(const Kernel& kernel,
                                     std::vector<ConfigKey> keys) const;
 
@@ -281,8 +282,8 @@ public:
                                       const SweepPlan::Group& group,
                                       PatternCache& patterns) const;
 
-  /// Evaluate every key of `group` against its shared trace in one pass
-  /// of the group's engine, writing results into `out` at the keys'
+  /// Evaluate every key of `group` against its shared trace in one
+  /// StackDistSim pass, writing results into `out` at the keys'
   /// positions. Touches no mutable Explorer state (thread-safe).
   void evaluateGroup(const SweepPlan::Group& group, const Trace& trace,
                      double addrActivity,

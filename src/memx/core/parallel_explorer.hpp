@@ -5,7 +5,7 @@
 // trace. Workers claim whole groups from a shared counter; each worker
 // materializes the group's trace once (with a worker-local access-pattern
 // cache) and evaluates the group's configuration bank against it in a
-// single MultiCacheSim pass. Results are identical to the serial sweep,
+// single StackDistSim pass. Results are identical to the serial sweep,
 // in the same key order.
 //
 // Exceptions thrown inside a worker (for example a contract violation

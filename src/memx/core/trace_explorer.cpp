@@ -2,7 +2,6 @@
 
 #include "memx/cachesim/bus_monitor.hpp"
 #include "memx/cachesim/cache_sim.hpp"
-#include "memx/cachesim/multi_sim.hpp"
 #include "memx/stackdist/stackdist_sim.hpp"
 
 namespace memx {
@@ -38,10 +37,10 @@ struct StreamedReplay {
   std::uint64_t replayedRefs = 0;  ///< warmup + counted references
 };
 
-/// Drive `bank` (MultiCacheSim or StackDistSim — same run/stats
-/// interface) from `source` under `window`. Warmup exclusion is a
-/// snapshot subtraction: every CacheStats and BusStats field is an
-/// additive accumulator, so counted = end - warmup boundary.
+/// Drive `bank` (a StackDistSim, or the per-point oracle's SimBank —
+/// same run/stats interface) from `source` under `window`. Warmup
+/// exclusion is a snapshot subtraction: every CacheStats and BusStats
+/// field is an additive accumulator, so counted = end - warmup boundary.
 template <typename Bank>
 StreamedReplay replayStreamed(Bank& bank, std::size_t members,
                               TraceSource& source, const TraceWindow& window,
@@ -98,6 +97,22 @@ StreamedReplay replayStreamed(Bank& bank, std::size_t members,
   return out;
 }
 
+/// One CacheSim behind the bank interface replayStreamed drives: the
+/// streamed per-point oracle simulates, it does not read a profile.
+class SimBank {
+public:
+  explicit SimBank(const CacheConfig& config) : sim_(config) {}
+  void run(TraceSource& source, std::size_t /*chunkRefs*/) {
+    sim_.run(source);
+  }
+  [[nodiscard]] const CacheStats& stats(std::size_t /*member*/) const {
+    return sim_.stats();
+  }
+
+private:
+  CacheSim sim_;
+};
+
 /// The CacheConfig of `cache` under the run's write and replacement
 /// policies.
 CacheConfig withPolicies(const CacheConfig& cache,
@@ -133,10 +148,10 @@ DesignPoint evaluateTracePoint(TraceSource& source, const CacheConfig& cache,
   const Explorer model(options);  // the point model; validates
   const CacheConfig config = withPolicies(cache, options);
 
-  // A one-member MultiCacheSim bank replays exactly as simulateTrace
-  // does (same default seed), so the trivial-window result matches the
-  // Trace overload bit for bit.
-  MultiCacheSim bank({config});
+  // A plain CacheSim replays exactly as simulateTrace does (same
+  // default seed), so the trivial-window result matches the Trace
+  // overload bit for bit.
+  SimBank bank(config);
   const StreamedReplay replay =
       replayStreamed(bank, 1, source, window, options.measureBusActivity,
                      chunkRefs, recorder);
@@ -166,31 +181,18 @@ ExplorationResult exploreTrace(const std::string& name, TraceSource& source,
 
   // The trace is fixed, so the whole (T, L, S) grid is one bank and one
   // pass over the stream, with the bus activity measured in the same
-  // pass. The engine follows planSweep's rule: Random simulates, every
-  // other policy is analytic. The two bank types share the run/stats
-  // interface, so one driver serves both. The work counters match
-  // Explorer::evaluateGroup's, over every replayed reference (warmup
-  // included: the bank does that work too).
-  StreamedReplay replay;
-  if (o.replacement != ReplacementPolicy::Random) {
-    StackDistSim bank(configs);
-    replay = replayStreamed(bank, configs.size(), source, window,
-                            o.measureBusActivity, chunkRefs, recorder);
-    if (recorder != nullptr) {
-      recorder->counter("stackdist.passes").add(bank.passCount());
-      recorder->counter("stackdist.accesses")
-          .add(replay.replayedRefs * bank.passCount());
-    }
-  } else {
-    MultiCacheSim bank(configs);
-    replay = replayStreamed(bank, configs.size(), source, window,
-                            o.measureBusActivity, chunkRefs, recorder);
-    if (recorder != nullptr) {
-      recorder->counter("sim.accesses")
-          .add(replay.replayedRefs * configs.size());
-    }
-  }
+  // pass. The work counters match Explorer::evaluateGroup's, over every
+  // replayed reference (warmup included: the bank does that work too).
+  StackDistSim bank(configs);
+  const StreamedReplay replay =
+      replayStreamed(bank, configs.size(), source, window,
+                     o.measureBusActivity, chunkRefs, recorder);
   if (recorder != nullptr) {
+    recorder->counter("stackdist.passes").add(bank.passCount());
+    recorder->counter("stackdist.grid_passes").add(bank.gridPassCount());
+    recorder->counter("stackdist.grid_cells").add(bank.gridCellCount());
+    recorder->counter("stackdist.accesses")
+        .add(replay.replayedRefs * bank.passCount());
     recorder->counter("sweep.points").add(keys.size());
   }
   const double addBs = o.measureBusActivity ? replay.addBs

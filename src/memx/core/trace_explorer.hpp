@@ -26,7 +26,7 @@ namespace memx {
 
 /// Sweep every (T, L, S) of `options.ranges` over `trace`. Tiling is not
 /// applicable to a fixed trace; all points carry B = 1. Runs the
-/// streamed overload over a VectorTraceSource.
+/// streamed overload over a VectorTraceSource view (no copy).
 [[nodiscard]] ExplorationResult exploreTrace(const std::string& name,
                                              const Trace& trace,
                                              const ExploreOptions& options);
@@ -48,22 +48,21 @@ namespace memx {
 // `recorder`, when non-null, receives `trace.bytes_read` /
 // `trace.refs_decoded` counter deltas (from the source's IngestStats)
 // and `trace.ingest` / `trace.warmup` / `trace.replay` spans. The sweep
-// also records Explorer's work counters: `sweep.points`, and either
-// `stackdist.passes` + `stackdist.accesses` (replayed references, warmup
-// included, times passes) or `sim.accesses` (replayed references times
-// configurations).
+// also records Explorer's work counters: `sweep.points`,
+// `stackdist.passes`, `stackdist.grid_passes`, `stackdist.grid_cells` and
+// `stackdist.accesses` (replayed references, warmup included, times
+// passes).
 
-/// Streamed single-configuration evaluation (a one-member
-/// MultiCacheSim bank).
+/// Streamed single-configuration evaluation: the per-point oracle of
+/// the streamed sweep, one CacheSim driven over the source.
 [[nodiscard]] DesignPoint evaluateTracePoint(
     TraceSource& source, const CacheConfig& cache,
     const ExploreOptions& options, const TraceWindow& window = {},
     std::size_t chunkRefs = kDefaultTraceChunkRefs,
     obs::Recorder* recorder = nullptr);
 
-/// Streamed (T, L, S) sweep: one pass over the stream through one bank,
-/// picked like planSweep picks a group's engine — a MultiCacheSim bank
-/// for Random replacement, analytic profiles for every other policy.
+/// Streamed (T, L, S) sweep: one pass over the stream through one
+/// StackDistSim bank, whatever the replacement policy.
 [[nodiscard]] ExplorationResult exploreTrace(
     const std::string& name, TraceSource& source,
     const ExploreOptions& options, const TraceWindow& window = {},

@@ -10,6 +10,11 @@
 namespace memx {
 namespace {
 
+/// Seed of every Random cell's generator: CacheSim's default rngSeed,
+/// so cell (sets, ways) draws exactly the victims a standalone
+/// simulateTrace of that geometry draws.
+constexpr std::uint64_t kRandomSeed = 1;
+
 /// CacheSim::plruTouch on a caller-held word: walk the lo/hi/mid tree
 /// toward `way`, pointing every traversed node away from it. Identical
 /// bit layout to CacheSim for every associativity it can represent (its
@@ -60,9 +65,8 @@ PolicyGridProfile::PolicyGridProfile(ReplacementPolicy policy,
                                      std::uint32_t maxSets,
                                      std::uint32_t maxAssoc)
     : policy_(policy), lineBytes_(lineBytes) {
-  MEMX_EXPECTS(policy == ReplacementPolicy::FIFO ||
-                   policy == ReplacementPolicy::TreePLRU,
-               "PolicyGridProfile models FIFO and TreePLRU only "
+  MEMX_EXPECTS(policy != ReplacementPolicy::LRU,
+               "PolicyGridProfile models FIFO, TreePLRU and Random only "
                "(LRU grids belong to AllAssocProfile)");
   MEMX_EXPECTS(isPow2(lineBytes), "lineBytes must be a power of two");
   MEMX_EXPECTS(isPow2(maxSets), "maxSets must be a power of two");
@@ -133,8 +137,11 @@ void PolicyGridProfile::rebuildPlan() {
   dirtyMask_.assign(setNext, 0);
   if (policy_ == ReplacementPolicy::FIFO) {
     cursor_.assign(setNext, 0);
-  } else {
+  } else if (policy_ == ReplacementPolicy::TreePLRU) {
     treeBits_.assign(setNext, 0);
+  } else {
+    // One generator per active cell, seeded like CacheSim's default.
+    rng_.assign(activeCells_, std::mt19937_64(kRandomSeed));
   }
   mruKey_.assign(mruNext, 0);
   mruDirty_.assign(mruNext, 0);
@@ -164,17 +171,26 @@ PolicyGridProfile::PolicyGridProfile(const Trace& trace,
 }
 
 void PolicyGridProfile::feed(const MemRef* refs, std::size_t count) {
-  if (policy_ == ReplacementPolicy::FIFO) {
-    feedImpl<true>(refs, count);
-  } else {
-    feedImpl<false>(refs, count);
+  switch (policy_) {
+    case ReplacementPolicy::FIFO:
+      feedImpl<ReplacementPolicy::FIFO>(refs, count);
+      break;
+    case ReplacementPolicy::TreePLRU:
+      feedImpl<ReplacementPolicy::TreePLRU>(refs, count);
+      break;
+    case ReplacementPolicy::Random:
+      feedImpl<ReplacementPolicy::Random>(refs, count);
+      break;
+    case ReplacementPolicy::LRU:
+      break;  // refused by the constructor
   }
 }
 
-template <bool kFifo, bool kWrite, bool kStraddle>
+template <ReplacementPolicy kPolicy, bool kWrite, bool kStraddle>
 void PolicyGridProfile::probeLevel(const LevelPlan& level,
                                    std::uint64_t setIdx, std::uint64_t key,
                                    std::uint64_t* missCounters) {
+  constexpr bool kPlru = kPolicy == ReplacementPolicy::TreePLRU;
   // Visit only the active cells of this level (all of them on an
   // unrestricted pass) through the flat plan descriptors. The level's
   // state is set-major, so every cell's slots for this set index sit
@@ -208,9 +224,10 @@ void PolicyGridProfile::probeLevel(const LevelPlan& level,
     }
 
     if (hitWay < ways) {
-      // Hit: FIFO leaves its fill order untouched; PLRU re-points the
-      // tree; a write dirties the way. No counters — hits are derived.
-      if constexpr (!kFifo) plruTouchWord(treeBits_[m], hitWay, ways);
+      // Hit: FIFO and Random leave their state untouched; PLRU
+      // re-points the tree; a write dirties the way. No counters — hits
+      // are derived.
+      if constexpr (kPlru) plruTouchWord(treeBits_[m], hitWay, ways);
       if constexpr (kWrite) dirtyMask_[m] |= (std::uint64_t{1} << hitWay);
       continue;
     }
@@ -218,16 +235,28 @@ void PolicyGridProfile::probeLevel(const LevelPlan& level,
     // Miss: pick the victim exactly as CacheSim::victimWay does. For
     // FIFO the first-empty-then-oldest-fill rule *is* a cyclic cursor
     // (fills land at 0, 1, ... in order, stamps only ever grow); for
-    // PLRU the first empty way wins before the tree is consulted.
+    // PLRU and Random the first empty way wins before the tree or the
+    // cell's generator is consulted, and a 1-way cell never draws
+    // (CacheSim's direct-mapped path has no victim choice to make).
     std::uint32_t victim;
-    if constexpr (kFifo) {
+    if constexpr (kPolicy == ReplacementPolicy::FIFO) {
       victim = cursor_[m];
       cursor_[m] = (victim + 1) & (ways - 1);
-    } else {
+    } else if constexpr (kPlru) {
       victim = firstEmpty < ways
                    ? firstEmpty
                    : static_cast<std::uint32_t>(
                          plruVictimWord(treeBits_[m], ways));
+    } else {
+      victim = firstEmpty;
+      if (firstEmpty == ways) {
+        victim = 0;
+        if (ways > 1) {
+          std::uniform_int_distribution<std::size_t> dist(0, ways - 1);
+          victim = static_cast<std::uint32_t>(
+              dist(rng_[static_cast<std::size_t>(cp - cellPlan_.data())]));
+        }
+      }
     }
     const std::uint64_t evicted = keys[victim];
     if (evicted != 0 && ((dirtyMask_[m] >> victim) & 1) != 0) {
@@ -239,7 +268,7 @@ void PolicyGridProfile::probeLevel(const LevelPlan& level,
     } else {
       dirtyMask_[m] &= ~(std::uint64_t{1} << victim);
     }
-    if constexpr (!kFifo) plruTouchWord(treeBits_[m], victim, ways);
+    if constexpr (kPlru) plruTouchWord(treeBits_[m], victim, ways);
     ++lineFill_[cp->cell];
     if constexpr (kStraddle) {
       anyMiss_[cp->cell] = 1;
@@ -249,7 +278,7 @@ void PolicyGridProfile::probeLevel(const LevelPlan& level,
   }
 }
 
-template <bool kFifo>
+template <ReplacementPolicy kPolicy>
 void PolicyGridProfile::feedImpl(const MemRef* refs, std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
     const MemRef& ref = refs[i];
@@ -284,9 +313,9 @@ void PolicyGridProfile::feedImpl(const MemRef* refs, std::size_t count) {
           break;
         }
         if (readLike) {
-          probeLevel<kFifo, false, false>(lv, idx, key, refMiss.data());
+          probeLevel<kPolicy, false, false>(lv, idx, key, refMiss.data());
         } else {
-          probeLevel<kFifo, true, false>(lv, idx, key, refMiss.data());
+          probeLevel<kPolicy, true, false>(lv, idx, key, refMiss.data());
         }
         // In the slow path the old MRU entry never satisfies the write
         // fast-path test, so `isWrite` alone is the new dirty flag.
@@ -309,9 +338,9 @@ void PolicyGridProfile::feedImpl(const MemRef* refs, std::size_t count) {
         const std::size_t m = lv.mruBase + static_cast<std::size_t>(idx);
         if (mruKey_[m] == key && (readLike || mruDirty_[m] != 0)) break;
         if (readLike) {
-          probeLevel<kFifo, false, true>(lv, idx, key, nullptr);
+          probeLevel<kPolicy, false, true>(lv, idx, key, nullptr);
         } else {
-          probeLevel<kFifo, true, true>(lv, idx, key, nullptr);
+          probeLevel<kPolicy, true, true>(lv, idx, key, nullptr);
         }
         mruKey_[m] = key;
         mruDirty_[m] = readLike ? 0 : 1;

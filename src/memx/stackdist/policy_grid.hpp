@@ -1,6 +1,7 @@
-// Single-pass (sets, ways) grid evaluation for FIFO and tree-PLRU.
+// Single-pass (sets, ways) grid evaluation for FIFO, tree-PLRU and
+// Random replacement.
 //
-// FIFO and tree-PLRU are not stack algorithms: neither admits a
+// FIFO, tree-PLRU and Random are not stack algorithms: none admits a
 // capacity-independent priority ordering, and their contents are not
 // even inclusive across way counts (Bélády's anomaly — see the pinned
 // instance in tests/stackdist_test.cpp, where FIFO misses *increase*
@@ -15,21 +16,27 @@
 //    (encoded line + 1, 0 = empty) plus compact policy state: a
 //    round-robin fill cursor for FIFO (fills prefer the first empty
 //    way and stamps are written only on fill, so the oldest fill *is*
-//    a cyclic cursor) and the PLRU tree bits packed into one word per
-//    set — and a per-way dirty bitmask, because a line's dirty state
-//    depends on when that particular cell filled it (the dirty
-//    thresholds of AllAssocProfile ride on inclusion, which FIFO/PLRU
-//    lack, so there is no monotone shortcut here);
+//    a cyclic cursor), the PLRU tree bits packed into one word per
+//    set, and for Random one std::mt19937_64 per cell seeded like
+//    CacheSim's (a cell draws uniform_int_distribution(0, ways - 1)
+//    only on a miss into a full set and a 1-way cell never draws:
+//    CacheSim::victimWay's rule, so each cell replays the victims a
+//    standalone simulator of its geometry picks) — and a per-way dirty
+//    bitmask, because a line's dirty state depends on when that
+//    particular cell filled it (the dirty thresholds of
+//    AllAssocProfile ride on inclusion, which these policies lack, so
+//    there is no monotone shortcut here);
 //
 //  - a Hill–Smith-style MRU short-circuit where the policies permit:
 //    after any probe of line X, X is resident in every cell of its
-//    set, so a re-probe is a FIFO no-op and an idempotent PLRU tree
-//    touch. One MRU key per (set level, set) decides it, and because a
-//    finer set's probe sequence is a subsequence of its enclosing
-//    coarser set's, an MRU match at level s covers every finer level
-//    too — the whole remaining cascade is skipped. Writes additionally
-//    require the MRU line to be dirty everywhere (tracked by one flag
-//    beside the key) or they fall through to set per-cell dirty bits.
+//    set, so a re-probe is a FIFO or Random no-op and an idempotent
+//    PLRU tree touch. One MRU key per (set level, set) decides it,
+//    and because a finer set's probe sequence is a subsequence of its
+//    enclosing coarser set's, an MRU match at level s covers every
+//    finer level too — the whole remaining cascade is skipped. Writes
+//    additionally require the MRU line to be dirty everywhere (tracked
+//    by one flag beside the key) or they fall through to set per-cell
+//    dirty bits.
 //
 // Hits cost no per-cell counter updates: only misses, fills and dirty
 // evictions are tallied, and stats() derives hits by subtraction, so
@@ -48,13 +55,14 @@
 // levels.
 //
 // The profile is exact — CacheSim bit-for-bit, both write policies —
-// for FIFO or TreePLRU replacement with write-allocate fills. See
+// for FIFO, TreePLRU or Random replacement with write-allocate fills. See
 // StackDistSim for the config-facing wrapper and docs/TESTING.md for
 // the dual-oracle layers (RefCacheSim and the retired Mattson walk)
 // that pin the equivalence.
 #pragma once
 
 #include <cstdint>
+#include <random>
 #include <utility>
 #include <vector>
 
@@ -64,17 +72,17 @@
 
 namespace memx {
 
-/// Exact FIFO or tree-PLRU write-allocate hit-miss profile of one trace
-/// at one line size, for every numSets in {1, 2, ..., maxSets} and
-/// every associativity in {1, 2, ..., maxAssoc} (both power-of-two
-/// grids — CacheConfig admits no other way counts).
+/// Exact FIFO, tree-PLRU or Random write-allocate hit-miss profile of
+/// one trace at one line size, for every numSets in {1, 2, ...,
+/// maxSets} and every associativity in {1, 2, ..., maxAssoc} (both
+/// power-of-two grids — CacheConfig admits no other way counts).
 class PolicyGridProfile {
 public:
   /// Empty profile ready for incremental feed(). `lineBytes`, `maxSets`
   /// and `maxAssoc` must be powers of two, maxAssoc <= 64 (the dirty
   /// mask and PLRU tree bits of one set pack into a word), `policy`
-  /// FIFO or TreePLRU. Accesses straddling line boundaries probe each
-  /// touched line, exactly like CacheSim.
+  /// FIFO, TreePLRU or Random. Accesses straddling line boundaries
+  /// probe each touched line, exactly like CacheSim.
   PolicyGridProfile(ReplacementPolicy policy, std::uint32_t lineBytes,
                     std::uint32_t maxSets, std::uint32_t maxAssoc);
 
@@ -195,7 +203,7 @@ private:
   /// fed — the state is zeroed.
   void rebuildPlan();
 
-  template <bool kFifo>
+  template <ReplacementPolicy kPolicy>
   void feedImpl(const MemRef* refs, std::size_t count);
 
   /// Probe every active cell of one level for `key` on the slow path
@@ -203,7 +211,7 @@ private:
   /// to `missCounters` (the read or write per-cell counters); a
   /// straddling access (kStraddle) sets the anyMiss_ scratch flags
   /// instead so the caller can merge its probes.
-  template <bool kFifo, bool kWrite, bool kStraddle>
+  template <ReplacementPolicy kPolicy, bool kWrite, bool kStraddle>
   void probeLevel(const LevelPlan& level, std::uint64_t setIdx,
                   std::uint64_t key, std::uint64_t* missCounters);
 
@@ -247,6 +255,8 @@ private:
   std::vector<std::uint64_t> keys_;
   std::vector<std::uint32_t> cursor_;    ///< FIFO round-robin fill way
   std::vector<std::uint64_t> treeBits_;  ///< PLRU tree, CacheSim layout
+  /// Random victim streams, one per active cell in cellPlan_ order.
+  std::vector<std::mt19937_64> rng_;
   std::vector<std::uint64_t> dirtyMask_; ///< per-way dirty bits
 
   // MRU short-circuit state: per (active set level, set), the key of

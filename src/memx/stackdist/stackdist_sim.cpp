@@ -14,8 +14,7 @@ StackDistSim::StackDistSim(const std::vector<CacheConfig>& configs)
     const CacheConfig& config = configs_[i];
     config.validate();
     MEMX_EXPECTS(supports(config),
-                 "StackDistSim handles LRU, FIFO and TreePLRU "
-                 "write-allocate configs only");
+                 "StackDistSim handles write-allocate configs only");
     auto it = std::find_if(groups_.begin(), groups_.end(),
                            [&](const LineGroup& g) {
                              return g.lineBytes == config.lineBytes &&
@@ -56,7 +55,7 @@ void StackDistSim::buildProfiles() {
       profileIndex_.push_back(gridProfiles_.size());
       gridProfiles_.emplace_back(group.policy, group.lineBytes,
                                  group.maxSets, group.maxAssoc);
-      // FIFO/PLRU cells are independent, so the pass only needs the
+      // Grid cells are independent, so the pass only needs the
       // geometries this bank actually queries — on a typical sweep
       // that is a thin diagonal of the full lattice, and skipping the
       // rest is what keeps the grid backend ahead of per-config

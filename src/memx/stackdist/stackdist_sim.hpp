@@ -1,25 +1,25 @@
 // Stack-distance / policy-grid evaluation of a bank of cache configs.
 //
-// StackDistSim is the analytic sibling of MultiCacheSim: same bank
-// interface (configs in, per-config CacheStats out, one run() over a
-// trace), but instead of simulating each member it builds one profile
-// per distinct (line size, replacement policy) and reads every
-// member's hit/miss counts off that profile's (sets, associativity)
-// grid. LRU members ride an AllAssocProfile (Hill–Smith stack
-// distances: O(n)-class work per line size, independent of the member
-// count); FIFO and tree-PLRU members ride a PolicyGridProfile (a
-// single-pass grid simulator with an MRU short-circuit — FIFO/PLRU
-// are not stack algorithms, so the shared work is the address decode,
-// the set-index cascade and the streamed chunk, not a common stack).
-// Either way the trace is decoded once per profile, which is what
-// makes large sweeps cheap.
+// StackDistSim is the one sweep engine: configs in, per-config
+// CacheStats out, one run() over a trace. Instead of simulating each
+// member it builds one profile per distinct (line size, replacement
+// policy) and reads every member's hit/miss counts off that profile's
+// (sets, associativity) grid. LRU members ride an AllAssocProfile
+// (Hill–Smith stack distances: O(n)-class work per line size,
+// independent of the member count); FIFO, tree-PLRU and Random members
+// ride a PolicyGridProfile (a single-pass grid simulator with an MRU
+// short-circuit — these policies are not stack algorithms, so the
+// shared work is the address decode, the set-index cascade and the
+// streamed chunk, not a common stack). Either way the trace is decoded
+// once per profile, which is what makes large sweeps cheap.
 //
-// LRU, FIFO and tree-PLRU replacement with write-allocate fills are in
-// the analysis' domain (supports() is what the constructor checks;
-// Explorer::planSweep sends every non-Random sweep here); only Random
-// replacement remains simulation-bound. Both write policies are exact, including
-// write-back dirty-eviction counts — see AllAssocProfile's dirty-stack
-// accounting and PolicyGridProfile's per-cell dirty bits.
+// Every replacement policy with write-allocate fills is in the
+// engine's domain (supports() is what the constructor checks;
+// Explorer::planSweep sends every sweep here). Both write policies are
+// exact, including write-back dirty-eviction counts — see
+// AllAssocProfile's dirty-stack accounting and PolicyGridProfile's
+// per-cell dirty bits. Per-config simulation (CacheSim, RefCacheSim)
+// is the oracle it is checked against, not a second engine.
 #pragma once
 
 #include <cstdint>
@@ -34,23 +34,22 @@
 
 namespace memx {
 
-/// A bank of LRU/FIFO/PLRU write-allocate configurations evaluated
-/// analytically from per-(line size, policy) profiles.
+/// A bank of write-allocate configurations evaluated from per-(line
+/// size, policy) profiles.
 class StackDistSim {
 public:
   /// Throws on an empty bank, an invalid config, or a config outside
   /// the analytic domain (see supports()).
   explicit StackDistSim(const std::vector<CacheConfig>& configs);
 
-  /// True iff the analytic backends yield exact statistics for
-  /// `config`: LRU, FIFO or tree-PLRU replacement with write-allocate
-  /// fills. (Geometry is unrestricted; both write policies are exact —
-  /// write-through word stores and write-back dirty evictions alike
-  /// fall out of a single pass. Random replacement draws from a
-  /// simulator-owned rng stream and stays simulation-only.)
+  /// True iff the profiles yield exact statistics for `config`: any
+  /// replacement policy with write-allocate fills. (Geometry is
+  /// unrestricted; both write policies are exact — write-through word
+  /// stores and write-back dirty evictions alike fall out of a single
+  /// pass. No-write-allocate writes bypass the cache, which no profile
+  /// models.)
   [[nodiscard]] static bool supports(const CacheConfig& config) noexcept {
-    return config.replacement != ReplacementPolicy::Random &&
-           config.allocatePolicy == AllocatePolicy::WriteAllocate;
+    return config.allocatePolicy == AllocatePolicy::WriteAllocate;
   }
 
   /// Profile `trace` once per distinct (line size, policy) and fill
@@ -80,10 +79,10 @@ public:
   [[nodiscard]] std::size_t passCount() const noexcept {
     return groups_.size();
   }
-  /// How many of those passes are FIFO/PLRU grid passes, and how many
-  /// (sets, ways) cells those grids simulate in total (each pass is
-  /// restricted to the distinct geometries its members query) — the
-  /// stackdist.grid_passes / stackdist.grid_cells counters.
+  /// How many of those passes are policy-grid (non-LRU) passes, and
+  /// how many (sets, ways) cells those grids simulate in total (each
+  /// pass is restricted to the distinct geometries its members query)
+  /// — the stackdist.grid_passes / stackdist.grid_cells counters.
   [[nodiscard]] std::size_t gridPassCount() const noexcept {
     return gridPasses_;
   }
@@ -129,7 +128,8 @@ private:
 
 /// Convenience: evaluate `trace` against every config analytically,
 /// returning the per-config statistics in input order. Exactly matches
-/// simulateTraceMulti for supported configs, every field included.
+/// simulateTrace per config for supported configs, every field
+/// included.
 [[nodiscard]] std::vector<CacheStats> stackDistStats(
     const std::vector<CacheConfig>& configs, const Trace& trace);
 

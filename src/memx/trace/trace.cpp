@@ -20,8 +20,8 @@ std::size_t Trace::writeCount() const noexcept {
 }
 
 std::optional<MemRef> VectorTraceSource::next() {
-  if (pos_ >= trace_.size()) return std::nullopt;
-  return trace_[pos_++];
+  if (pos_ >= trace_->size()) return std::nullopt;
+  return (*trace_)[pos_++];
 }
 
 std::size_t fillChunk(TraceSource& source, std::vector<MemRef>& buf,

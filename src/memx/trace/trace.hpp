@@ -79,14 +79,17 @@ public:
 std::size_t fillChunk(TraceSource& source, std::vector<MemRef>& buf,
                       std::size_t chunkRefs);
 
-/// Adapts an in-memory Trace to the streaming interface.
+/// Adapts an in-memory Trace to the streaming interface. A non-owning
+/// view: the trace is not copied and must outlive the source, so
+/// temporaries are refused at compile time.
 class VectorTraceSource final : public TraceSource {
 public:
-  explicit VectorTraceSource(Trace trace) : trace_(std::move(trace)) {}
+  explicit VectorTraceSource(const Trace& trace) : trace_(&trace) {}
+  VectorTraceSource(Trace&&) = delete;
   [[nodiscard]] std::optional<MemRef> next() override;
 
 private:
-  Trace trace_;
+  const Trace* trace_;
   std::size_t pos_ = 0;
 };
 

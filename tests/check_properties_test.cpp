@@ -218,8 +218,8 @@ TEST_P(PropertySweep, StackDistMissesMonotoneInCacheSizeAtFixedWays) {
 }
 
 // --- Engine contract on the workloads the golden corpus pins (so any
-// drift is double-caught): explore() — analytic for LRU, FIFO and
-// tree-PLRU, a MultiCacheSim bank for Random — matches per-key
+// drift is double-caught): explore() — the Hill-Smith profile for LRU,
+// the policy grid for FIFO, tree-PLRU and Random — matches per-key
 // Explorer::evaluate (one CacheSim::run per point) bit for bit. Every
 // run is write-back, with and without write-energy accounting, so the
 // energy totals embed each engine's writeback counts.
@@ -274,16 +274,16 @@ TEST(Properties, GridBackendBitIdenticalToMultiSimOnGoldenCorpus) {
   expectSweepBitIdenticalToPerPointEvaluate(ReplacementPolicy::TreePLRU);
 }
 
-// Random groups (victims from a simulator-owned rng stream) run a
-// MultiCacheSim bank.
+// Random groups run the policy grid too, one generator per cell seeded
+// like CacheSim's.
 TEST(Properties, SweepBitIdenticalToPerPointEvaluateOnGoldenCorpus) {
   expectSweepBitIdenticalToPerPointEvaluate(ReplacementPolicy::Random);
 }
 
-// The replacement policy alone picks each group's engine at planSweep
-// time: LRU reads stack distances and FIFO/tree-PLRU the single-pass
-// policy grid, under both write policies and with write energy on;
-// only Random (victims from a simulator-owned rng stream) simulates.
+// Every group of every plan runs on the one sweep engine, whatever the
+// replacement policy, write policy and write-energy setting: LRU reads
+// stack distances and FIFO/tree-PLRU/Random the single-pass policy
+// grid, both inside StackDistSim.
 TEST(Properties, PlanSweepPicksEngineByReplacementPolicy) {
   const Kernel kernel = matrixAddKernel(8);
   ExploreOptions options;
@@ -305,11 +305,8 @@ TEST(Properties, PlanSweepPicksEngineByReplacementPolicy) {
         const SweepPlan plan =
             explorer.planSweep(kernel, explorer.sweepKeys());
         ASSERT_FALSE(plan.groups.empty());
-        const SweepBackend want = rp == ReplacementPolicy::Random
-                                      ? SweepBackend::MultiSim
-                                      : SweepBackend::StackDist;
         for (const SweepPlan::Group& group : plan.groups) {
-          EXPECT_EQ(group.backend, want)
+          EXPECT_EQ(group.backend, SweepBackend::StackDist)
               << toString(rp) << " " << toString(wp)
               << " writeEnergy=" << writeEnergy;
         }

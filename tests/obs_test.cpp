@@ -352,11 +352,11 @@ TEST(ObsIntegration, ExploreWithReportIsBitIdenticalToWithout) {
   EXPECT_EQ(report.counter("trace.cache_miss"),
             report.counter("plan.groups"));
   EXPECT_GT(report.counter("trace.accesses"), 0u);
-  // Default options are LRU, so every group runs on the stack-distance
-  // engine: the analytic workload counters replace the per-config
-  // simulation counter.
+  // Every group runs on the one sweep engine, and the retired
+  // simulator bank's counters are gone.
   EXPECT_EQ(report.counter("sweep.groups_stackdist"),
             report.counter("sweep.groups"));
+  EXPECT_EQ(report.counter("sweep.groups_multisim"), 0u);
   EXPECT_EQ(report.counter("sim.accesses"), 0u);
   EXPECT_GT(report.counter("stackdist.passes"), 0u);
   EXPECT_GE(report.counter("stackdist.accesses"),
@@ -395,8 +395,9 @@ TEST(ObsIntegration, ParallelReportCarriesWorkerSpans) {
 
 // The streamed sweep records the same work counters as the Explorer
 // path, over every reference the bank replays: sample.din holds 112
-// references, and a 20-reference warmup is replayed work too. LRU runs
-// the analytic bank, Random the simulator bank.
+// references, and a 20-reference warmup is replayed work too. LRU reads
+// the Hill-Smith profile, Random the policy grid: one pass per line
+// size either way, and only the grid counts grid passes and cells.
 TEST(ObsIntegration, StreamedTraceSweepCountsReplayedWork) {
   constexpr std::uint64_t kSampleRefs = 112;
   ExploreOptions o = smallSweep();  // line sizes 4, 8, 16
@@ -414,15 +415,18 @@ TEST(ObsIntegration, StreamedTraceSweepCountsReplayedWork) {
     EXPECT_EQ(result.points.front().accesses, kSampleRefs - 20);
     EXPECT_EQ(report.counter("trace.refs_decoded"), kSampleRefs);
     EXPECT_EQ(report.counter("sweep.points"), result.points.size());
+    EXPECT_EQ(report.counter("stackdist.passes"), 3u);
+    EXPECT_EQ(report.counter("stackdist.accesses"), kSampleRefs * 3);
+    EXPECT_EQ(report.counter("sim.accesses"), 0u);
     if (rp == ReplacementPolicy::LRU) {
-      EXPECT_EQ(report.counter("stackdist.passes"), 3u);
-      EXPECT_EQ(report.counter("stackdist.accesses"), kSampleRefs * 3);
-      EXPECT_EQ(report.counter("sim.accesses"), 0u);
+      EXPECT_EQ(report.counter("stackdist.grid_passes"), 0u);
+      EXPECT_EQ(report.counter("stackdist.grid_cells"), 0u);
     } else {
-      EXPECT_EQ(report.counter("sim.accesses"),
-                kSampleRefs * result.points.size());
-      EXPECT_EQ(report.counter("stackdist.passes"), 0u);
-      EXPECT_EQ(report.counter("stackdist.accesses"), 0u);
+      EXPECT_EQ(report.counter("stackdist.grid_passes"), 3u);
+      // Every sweep point is a distinct (sets, ways) cell of its line
+      // size's grid.
+      EXPECT_EQ(report.counter("stackdist.grid_cells"),
+                result.points.size());
     }
   }
 }

@@ -7,10 +7,10 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "memx/cachesim/cache_sim.hpp"
-#include "memx/cachesim/multi_sim.hpp"
 #include "memx/check/random_gen.hpp"
 #include "memx/check/ref_stack_dist.hpp"
 #include "memx/stackdist/all_assoc.hpp"
@@ -482,10 +482,12 @@ TEST(PolicyGridProfile, DirtyEvictionWritebackPerPolicy) {
 }
 
 TEST(PolicyGridProfile, ChunkedFeedIsBitIdenticalToOnePass) {
-  // Cell state persists across feed() calls, so any chunking — even
-  // one that lands mid-straddle — matches a whole-trace pass.
+  // Cell state persists across feed() calls (Random cells' generators
+  // included), so any chunking — even one that lands mid-straddle —
+  // matches a whole-trace pass.
   for (const ReplacementPolicy policy :
-       {ReplacementPolicy::FIFO, ReplacementPolicy::TreePLRU}) {
+       {ReplacementPolicy::FIFO, ReplacementPolicy::TreePLRU,
+        ReplacementPolicy::Random}) {
     const Trace trace = randomCheckTrace(11, 150, 600);
     const PolicyGridProfile whole(trace, policy, 8, 4, 4);
     PolicyGridProfile chunked(policy, 8, 4, 4);
@@ -513,9 +515,12 @@ TEST(PolicyGridProfile, RestrictedCellsMatchFullGridAndGuardTheRest) {
   // Cells are independent (no inclusion — see the pinned anomaly
   // above), so a pass restricted to the cells a bank queries must be
   // bit-identical to the full lattice on those cells; the masked-off
-  // cells are never simulated and their accessors enforce it.
+  // cells are never simulated and their accessors enforce it. Random
+  // cells each own their generator, so masking a cell off shifts no
+  // other cell's victim stream.
   for (const ReplacementPolicy policy :
-       {ReplacementPolicy::FIFO, ReplacementPolicy::TreePLRU}) {
+       {ReplacementPolicy::FIFO, ReplacementPolicy::TreePLRU,
+        ReplacementPolicy::Random}) {
     const Trace trace = randomCheckTrace(13, 150, 600);
     const PolicyGridProfile whole(trace, policy, 8, 8, 4);
     PolicyGridProfile narrow(policy, 8, 8, 4);
@@ -582,7 +587,30 @@ TEST(PolicyGridProfile, RejectsBadArguments) {
 
 // --- StackDistSim ----------------------------------------------------
 
-TEST(StackDistSim, MatchesMultiCacheSimAcrossRandomLruBanks) {
+/// Every member of `bank` after one StackDistSim run must match a
+/// per-config simulateTrace (CacheSim, same default seed), every field.
+void expectBankMatchesPerConfigSimulation(
+    const std::vector<CacheConfig>& bank, const Trace& trace,
+    std::uint64_t seed) {
+  StackDistSim profiled(bank);
+  profiled.run(trace);
+  for (std::size_t i = 0; i < bank.size(); ++i) {
+    const CacheStats want = simulateTrace(bank[i], trace);
+    const CacheStats& got = profiled.stats(i);
+    const std::string where = "seed " + std::to_string(seed) + " " +
+                              bank[i].label() + " " +
+                              toString(bank[i].replacement);
+    ASSERT_EQ(got.readMisses, want.readMisses) << where;
+    ASSERT_EQ(got.writeMisses, want.writeMisses) << where;
+    ASSERT_EQ(got.readHits, want.readHits) << where;
+    ASSERT_EQ(got.writeHits, want.writeHits) << where;
+    ASSERT_EQ(got.lineFills, want.lineFills) << where;
+    ASSERT_EQ(got.memWrites, want.memWrites) << where;
+    ASSERT_EQ(got.writebacks, want.writebacks) << where;
+  }
+}
+
+TEST(StackDistSim, MatchesPerConfigSimulationAcrossRandomLruBanks) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     // Mixed line sizes in one bank exercise the per-line-size grouping.
     const std::vector<CacheConfig> bank = {
@@ -590,27 +618,8 @@ TEST(StackDistSim, MatchesMultiCacheSimAcrossRandomLruBanks) {
         randomLruCacheConfig(seed + 1000),
         randomLruCacheConfig(seed + 2000),
     };
-    const Trace trace = randomCheckTrace(seed, 200, 800);
-
-    StackDistSim analytic(bank);
-    analytic.run(trace);
-    MultiCacheSim simulated(bank);
-    simulated.run(trace);
-
-    for (std::size_t i = 0; i < bank.size(); ++i) {
-      const CacheStats& want = simulated.stats(i);
-      const CacheStats& got = analytic.stats(i);
-      ASSERT_EQ(got.readMisses, want.readMisses)
-          << "seed " << seed << " " << bank[i].label();
-      ASSERT_EQ(got.writeMisses, want.writeMisses)
-          << "seed " << seed << " " << bank[i].label();
-      ASSERT_EQ(got.readHits, want.readHits);
-      ASSERT_EQ(got.writeHits, want.writeHits);
-      ASSERT_EQ(got.lineFills, want.lineFills);
-      ASSERT_EQ(got.memWrites, want.memWrites);
-      ASSERT_EQ(got.writebacks, want.writebacks)
-          << "seed " << seed << " " << bank[i].label();
-    }
+    expectBankMatchesPerConfigSimulation(
+        bank, randomCheckTrace(seed, 200, 800), seed);
   }
 }
 
@@ -629,9 +638,9 @@ TEST(StackDistSim, GroupsSharingALineSizeUseOnePass) {
 }
 
 TEST(StackDistSim, RejectsConfigsOutsideItsDomain) {
-  // FIFO and tree-PLRU sweeps are served by the PolicyGridProfile
-  // engine; only Random replacement (simulator-owned rng stream) and
-  // no-write-allocate caches still require simulation.
+  // FIFO, tree-PLRU and Random sweeps are served by the
+  // PolicyGridProfile engine; only no-write-allocate caches (writes
+  // bypass the cache, which no profile models) are refused.
   CacheConfig fifo = randomLruCacheConfig(1);
   fifo.replacement = ReplacementPolicy::FIFO;
   EXPECT_TRUE(StackDistSim::supports(fifo));
@@ -642,8 +651,7 @@ TEST(StackDistSim, RejectsConfigsOutsideItsDomain) {
 
   CacheConfig rnd = randomLruCacheConfig(1);
   rnd.replacement = ReplacementPolicy::Random;
-  EXPECT_FALSE(StackDistSim::supports(rnd));
-  EXPECT_THROW(StackDistSim({rnd}), ContractViolation);
+  EXPECT_TRUE(StackDistSim::supports(rnd));
 
   CacheConfig noAlloc = randomLruCacheConfig(1);
   noAlloc.allocatePolicy = AllocatePolicy::NoWriteAllocate;
@@ -670,35 +678,25 @@ TEST(StackDistSim, FifoAndPlruGroupsUseTheGridEngine) {
   EXPECT_GT(bank.gridCellCount(), 0u);
 }
 
-TEST(StackDistSim, MatchesMultiCacheSimAcrossRandomGridBanks) {
+TEST(StackDistSim, MatchesPerConfigSimulationAcrossRandomGridBanks) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     CacheConfig fifo = randomLruCacheConfig(seed);
     fifo.replacement = ReplacementPolicy::FIFO;
     CacheConfig plru = randomLruCacheConfig(seed + 1000);
     plru.replacement = ReplacementPolicy::TreePLRU;
-    const std::vector<CacheConfig> bank = {fifo, plru,
-                                           randomLruCacheConfig(seed + 2000)};
-    const Trace trace = randomCheckTrace(seed, 200, 800);
-
-    StackDistSim analytic(bank);
-    analytic.run(trace);
-    MultiCacheSim simulated(bank);
-    simulated.run(trace);
-
-    for (std::size_t i = 0; i < bank.size(); ++i) {
-      const CacheStats& want = simulated.stats(i);
-      const CacheStats& got = analytic.stats(i);
-      ASSERT_EQ(got.readMisses, want.readMisses)
-          << "seed " << seed << " " << bank[i].label();
-      ASSERT_EQ(got.writeMisses, want.writeMisses)
-          << "seed " << seed << " " << bank[i].label();
-      ASSERT_EQ(got.readHits, want.readHits);
-      ASSERT_EQ(got.writeHits, want.writeHits);
-      ASSERT_EQ(got.lineFills, want.lineFills);
-      ASSERT_EQ(got.memWrites, want.memWrites);
-      ASSERT_EQ(got.writebacks, want.writebacks)
-          << "seed " << seed << " " << bank[i].label();
-    }
+    // A Random member plus its direct-mapped and fully associative
+    // siblings: the cell that never draws and the one that draws over
+    // every way.
+    CacheConfig rnd = randomLruCacheConfig(seed + 3000);
+    rnd.replacement = ReplacementPolicy::Random;
+    CacheConfig rndDm = rnd;
+    rndDm.associativity = 1;
+    CacheConfig rndFa = rnd;
+    rndFa.associativity = std::min(rnd.numLines(), 64u);
+    const std::vector<CacheConfig> bank = {
+        fifo, plru, rnd, rndDm, rndFa, randomLruCacheConfig(seed + 2000)};
+    expectBankMatchesPerConfigSimulation(
+        bank, randomCheckTrace(seed, 200, 800), seed);
   }
 }
 

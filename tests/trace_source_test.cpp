@@ -11,7 +11,6 @@
 
 #include "memx/cachesim/bus_monitor.hpp"
 #include "memx/cachesim/cache_sim.hpp"
-#include "memx/cachesim/multi_sim.hpp"
 #include "memx/core/trace_explorer.hpp"
 #include "memx/obs/recorder.hpp"
 #include "memx/stackdist/stackdist_sim.hpp"
@@ -104,7 +103,8 @@ TEST(DinStreamSource, MatchesReadDin) {
 }
 
 TEST(FillChunk, ShortCountSignalsExhaustion) {
-  VectorTraceSource source(stridedTrace(0, 10, 4));
+  const Trace trace = stridedTrace(0, 10, 4);
+  VectorTraceSource source(trace);
   std::vector<MemRef> buf;
   EXPECT_EQ(fillChunk(source, buf, 4), 4u);
   EXPECT_EQ(buf[0].addr, 0u);
@@ -117,7 +117,8 @@ TEST(FillChunk, ShortCountSignalsExhaustion) {
 // --- WindowedSource -----------------------------------------------------
 
 TEST(WindowedSource, AppliesSkipWarmupAndLimit) {
-  VectorTraceSource inner(stridedTrace(0, 20, 4));
+  const Trace trace = stridedTrace(0, 20, 4);
+  VectorTraceSource inner(trace);
   WindowedSource window(inner, TraceWindow{5, 2, 3});
   // Delivers warmup + limit = 5 refs, starting after the 5 skipped.
   for (std::uint64_t want = 5; want < 10; ++want) {
@@ -130,13 +131,15 @@ TEST(WindowedSource, AppliesSkipWarmupAndLimit) {
 }
 
 TEST(WindowedSource, LimitZeroIsUnbounded) {
-  VectorTraceSource inner(stridedTrace(0, 10, 4));
+  const Trace trace = stridedTrace(0, 10, 4);
+  VectorTraceSource inner(trace);
   WindowedSource window(inner, TraceWindow{2, 0, 0});
   EXPECT_EQ(drain(window).size(), 8u);
 }
 
 TEST(WindowedSource, SkipPastEndIsEmpty) {
-  VectorTraceSource inner(stridedTrace(0, 5, 4));
+  const Trace trace = stridedTrace(0, 5, 4);
+  VectorTraceSource inner(trace);
   WindowedSource window(inner, TraceWindow{100, 0, 0});
   EXPECT_FALSE(window.next());
   EXPECT_EQ(window.delivered(), 0u);
@@ -152,7 +155,8 @@ TEST(WindowedSource, ForwardsIngestStats) {
 }
 
 TEST(WindowedSource, WindowsCompose) {
-  VectorTraceSource inner(stridedTrace(0, 100, 4));
+  const Trace trace = stridedTrace(0, 100, 4);
+  VectorTraceSource inner(trace);
   WindowedSource outer(inner, TraceWindow{10, 0, 50});
   WindowedSource nested(outer, TraceWindow{5, 0, 10});
   const Trace got = drain(nested);
@@ -308,37 +312,46 @@ TEST(FileTraceSource, DetectsGzipByExtension) {
 
 // --- Chunked replay -----------------------------------------------------
 
+/// (T, L, S) corners under LRU (the Hill-Smith profile) and Random
+/// (the policy grid, with per-cell generators).
 std::vector<CacheConfig> sweepBank() {
   std::vector<CacheConfig> configs;
-  for (const std::uint32_t size : {64u, 256u}) {
-    for (const std::uint32_t line : {8u, 16u}) {
-      for (const std::uint32_t assoc : {1u, 2u}) {
-        CacheConfig c;
-        c.sizeBytes = size;
-        c.lineBytes = line;
-        c.associativity = assoc;
-        configs.push_back(c);
+  for (const ReplacementPolicy rp :
+       {ReplacementPolicy::LRU, ReplacementPolicy::Random}) {
+    for (const std::uint32_t size : {64u, 256u}) {
+      for (const std::uint32_t line : {8u, 16u}) {
+        for (const std::uint32_t assoc : {1u, 2u}) {
+          CacheConfig c;
+          c.sizeBytes = size;
+          c.lineBytes = line;
+          c.associativity = assoc;
+          c.replacement = rp;
+          configs.push_back(c);
+        }
       }
     }
   }
   return configs;
 }
 
-TEST(ChunkedReplay, MultiCacheSimMatchesWholeTraceRun) {
+TEST(ChunkedReplay, CacheSimStreamMatchesWholeTraceRun) {
+  // CacheSim::run(TraceSource&) is the streamed per-point oracle; its
+  // state persists across calls, so a stream split in two replays
+  // exactly like one whole-trace run (Random draws included).
   const Trace trace = mixedTrace(3000, 23);
-  const std::vector<CacheConfig> configs = sweepBank();
-  MultiCacheSim whole(configs);
-  whole.run(trace);
-  for (const std::size_t chunkRefs : {std::size_t{1}, std::size_t{7},
-                                      std::size_t{256}}) {
-    MultiCacheSim chunked(configs);
-    VectorTraceSource source(trace);
-    chunked.run(source, chunkRefs);
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      expectSameStats(chunked.stats(i), whole.stats(i),
-                      "chunk=" + std::to_string(chunkRefs) + " member " +
-                          std::to_string(i));
-    }
+  Trace firstHalf;
+  Trace secondHalf;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    (i < trace.size() / 2 ? firstHalf : secondHalf).push(trace[i]);
+  }
+  for (const CacheConfig& config : sweepBank()) {
+    CacheSim streamed(config);
+    VectorTraceSource a(firstHalf);
+    VectorTraceSource b(secondHalf);
+    streamed.run(a);
+    streamed.run(b);
+    expectSameStats(streamed.stats(), simulateTrace(config, trace),
+                    config.label() + " " + toString(config.replacement));
   }
 }
 
@@ -457,8 +470,8 @@ ExploreOptions smallSweep(
   return options;
 }
 
-/// One policy per trace-sweep engine: LRU runs the analytic bank,
-/// Random the MultiCacheSim bank.
+/// One policy per StackDistSim profile kind: LRU reads the Hill-Smith
+/// stack distances, Random the policy grid's per-cell generators.
 constexpr ReplacementPolicy kEnginePolicies[] = {ReplacementPolicy::LRU,
                                                  ReplacementPolicy::Random};
 
@@ -530,10 +543,9 @@ TEST(StreamedExplore, SkipAndLimitMatchMaterializedSubrange) {
 }
 
 TEST(StreamedExplore, WarmupAgreesAcrossBackends) {
-  // Warmup exclusion uses snapshot subtraction in every bank: the sweep
-  // (analytic for LRU, a MultiCacheSim bank for Random) and the
-  // per-point one-member simulator bank must agree exactly on the
-  // counted region.
+  // Warmup exclusion uses snapshot subtraction on both sides: the sweep
+  // (Hill-Smith profile for LRU, policy grid for Random) and the
+  // per-point CacheSim oracle must agree exactly on the counted region.
   const Trace trace = mixedTrace(3000, 59);
   const TraceWindow window{200, 500, 1500};
   for (const ReplacementPolicy rp : kEnginePolicies) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "memx/trace/generators.hpp"
 #include "memx/trace/trace.hpp"
 #include "memx/trace/trace_stats.hpp"
@@ -49,6 +51,11 @@ TEST(Trace, AppendPreservesOrder) {
   EXPECT_EQ(a[1].addr, 100u);
   EXPECT_EQ(a[2].addr, 200u);
 }
+
+// The source is a view over a caller-owned trace; binding it to a
+// temporary would dangle, so that constructor does not exist.
+static_assert(!std::is_constructible_v<VectorTraceSource, Trace&&>);
+static_assert(std::is_constructible_v<VectorTraceSource, const Trace&>);
 
 TEST(TraceSource, VectorSourceDrains) {
   Trace t;
